@@ -64,11 +64,12 @@ func TestRunnerAbortNamesJob(t *testing.T) {
 	}
 }
 
-// TestRunnerDeadlineNamesJob drives a per-job deadline through each real
+// TestRunnerDeadlineNamesJob drives a per-job deadline through each
 // backend's own enforcement point — the run context on the plain
-// executive, the pool's deadline timer on the tenant pool — and requires
-// the same contract from both: errors.Is(err, context.DeadlineExceeded)
-// and the job's name in the message.
+// executive, the pool's deadline timer on the tenant pool, the virtual
+// clock on the simulator — and requires the same contract from all:
+// errors.Is(err, context.DeadlineExceeded) and the job's name in the
+// message.
 func TestRunnerDeadlineNamesJob(t *testing.T) {
 	cases := []struct {
 		name string
@@ -76,6 +77,9 @@ func TestRunnerDeadlineNamesJob(t *testing.T) {
 	}{
 		{"goroutines", []rundown.Option{rundown.WithWorkers(4), rundown.WithDeadline(15 * time.Millisecond)}},
 		{"pool", []rundown.Option{rundown.WithWorkers(4), rundown.WithPool(), rundown.WithDeadline(15 * time.Millisecond)}},
+		// One virtual unit per nanosecond: 10 units is far below the
+		// program's makespan.
+		{"virtual", []rundown.Option{rundown.WithVirtualTime(rundown.SimConfig{Procs: 4}), rundown.WithDeadline(10 * time.Nanosecond)}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -99,9 +103,9 @@ func TestRunnerDeadlineNamesJob(t *testing.T) {
 }
 
 // TestRunnerVirtualFaultRetry drives WithFaults plus Job.Retry through
-// the virtual backend's public surface: a one-shot injected grain error
-// costs job 0 one attempt, the retry recovers it, and the unified Report
-// carries the fault and retry accounting.
+// the virtual backend's public surface, RunAll and Run: a one-shot
+// injected grain error costs job 0 one attempt, the retry recovers it,
+// and the unified Report carries the fault and retry accounting.
 func TestRunnerVirtualFaultRetry(t *testing.T) {
 	r, err := rundown.New(
 		rundown.WithVirtualTime(rundown.SimConfig{Procs: 4}),
@@ -134,6 +138,23 @@ func TestRunnerVirtualFaultRetry(t *testing.T) {
 	if rep.Jobs[1].Err != nil || rep.Jobs[1].Attempts != 1 {
 		t.Errorf("co-tenant was disturbed: err=%v attempts=%d",
 			rep.Jobs[1].Err, rep.Jobs[1].Attempts)
+	}
+
+	// Run alone through Run, the same job is job 0 again: the firing
+	// costs it one attempt and the retry recovers it.
+	rep, err = r.Run(context.Background(), j0)
+	if err != nil {
+		t.Fatalf("Run: retry should have recovered the injected error: %v", err)
+	}
+	if rep.Faults == 0 || rep.Retries != 1 {
+		t.Errorf("Run: faults=%d retries=%d, want the firing and one restart counted",
+			rep.Faults, rep.Retries)
+	}
+	// Without a retry budget the same firing fails the run.
+	j0.Retry = 0
+	if _, err := r.Run(context.Background(), j0); err == nil ||
+		!strings.Contains(err.Error(), "injected") || !strings.Contains(err.Error(), `"wobbly"`) {
+		t.Errorf("Run without retries: err = %v, want the injected failure naming the job", err)
 	}
 }
 

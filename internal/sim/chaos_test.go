@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -66,11 +67,57 @@ func checkOutcome(t *testing.T, tag string, jr JobResult) {
 	}
 }
 
+// deferredSweepJobs is the sweep's fault-free extra input: two
+// overlapped identity jobs whose successor splitting is deferred to idle
+// executive time, so the Adaptive model's batched refills interleave
+// with deferred-management absorption across machine sizes and batches.
+func deferredSweepJobs(t *testing.T, n int) []JobSpec {
+	t.Helper()
+	opt := func(grain int) core.Options {
+		return core.Options{Grain: grain, Overlap: true, Costs: core.DefaultCosts(),
+			IdentityVia: core.IdentityConflictQueue, SuccSplit: core.SuccSplitDeferred}
+	}
+	return []JobSpec{
+		{Name: "a", Prog: twoPhase(t, n, enable.NewIdentity()), Opt: opt(2)},
+		{Name: "b", Prog: twoPhase(t, n/2, enable.NewIdentity()), Opt: opt(4), Priority: 1},
+	}
+}
+
+// sweepOnce runs jobs twice under cfg and checks the sweep contract: the
+// run never errors out as a whole (a fault escaping its job would surface
+// here as a run error or a stall), each job lands in the trichotomy, a
+// surviving job really ran, and the two runs are bit-identical.
+func sweepOnce(t *testing.T, tag string, jobs func() []JobSpec, cfg Config) *MultiResult {
+	t.Helper()
+	r1, err := RunMulti(jobs(), cfg)
+	if err != nil {
+		t.Fatalf("%s: run failed as a whole (isolation breached): %v", tag, err)
+	}
+	r2, err := RunMulti(jobs(), cfg)
+	if err != nil {
+		t.Fatalf("%s: second run failed: %v", tag, err)
+	}
+	if !reflect.DeepEqual(r1.Jobs, r2.Jobs) || r1.Makespan != r2.Makespan ||
+		r1.Faults != r2.Faults || r1.Retries != r2.Retries {
+		t.Fatalf("%s: identical inputs produced different outcomes:\n%+v\nvs\n%+v", tag, r1, r2)
+	}
+	for _, jr := range r1.Jobs {
+		checkOutcome(t, tag, jr)
+		// A surviving job really ran to completion (replay conservation
+		// pins exactness separately).
+		if jr.Err == nil && (jr.Makespan <= 0 || jr.ComputeUnits <= 0) {
+			t.Errorf("%s: surviving job %q has empty accounting: %+v", tag, jr.Name, jr)
+		}
+	}
+	return r1
+}
+
 // TestChaosSweepDeterministicAndIsolated runs seeded scenarios against
-// every model, twice per seed: the run must never error out as a whole
-// (a fault escaping its job would surface here as a run error or a
-// stall), each job must land in the trichotomy, and the two runs must be
-// bit-identical.
+// every model, twice per seed, under the sweepOnce contract. The
+// adaptive-deferred rows add fault-free inputs: the Adaptive model with
+// deferred successor splitting over a grid of machine sizes, batch sizes
+// and job widths, where every job must also finish with its compute
+// conserved.
 func TestChaosSweepDeterministicAndIsolated(t *testing.T) {
 	for _, model := range chaosModels {
 		model := model
@@ -78,29 +125,28 @@ func TestChaosSweepDeterministicAndIsolated(t *testing.T) {
 			for seed := uint64(1); seed <= 12; seed++ {
 				spec := fault.Scenario(seed, 4, 2, 4, 64, 8)
 				cfg := Config{Procs: chaosProcs(model), Mgmt: model, Faults: &spec}
-				r1, err := RunMulti(chaosJobs(t), cfg)
-				if err != nil {
-					t.Fatalf("seed %d: run failed as a whole (isolation breached): %v", seed, err)
-				}
-				r2, err := RunMulti(chaosJobs(t), cfg)
-				if err != nil {
-					t.Fatalf("seed %d: second run failed: %v", seed, err)
-				}
-				if !reflect.DeepEqual(r1.Jobs, r2.Jobs) || r1.Makespan != r2.Makespan ||
-					r1.Faults != r2.Faults || r1.Retries != r2.Retries {
-					t.Fatalf("seed %d: identical seeds produced different outcomes:\n%+v\nvs\n%+v", seed, r1, r2)
-				}
-				for _, jr := range r1.Jobs {
-					checkOutcome(t, model.String(), jr)
-					// A surviving job really ran to completion (replay
-					// conservation pins exactness separately).
-					if jr.Err == nil && (jr.Makespan <= 0 || jr.ComputeUnits <= 0) {
-						t.Errorf("seed %d: surviving job %q has empty accounting: %+v", seed, jr.Name, jr)
-					}
-				}
+				sweepOnce(t, fmt.Sprintf("%v seed %d", model, seed),
+					func() []JobSpec { return chaosJobs(t) }, cfg)
 			}
 		})
 	}
+	t.Run("adaptive-deferred", func(t *testing.T) {
+		for _, procs := range []int{4, 8, 16, 32, 64} {
+			for _, batch := range []int{2, 4, 8, 16} {
+				for _, n := range []int{64, 128, 256, 512} {
+					tag := fmt.Sprintf("p%d_b%d_n%d", procs, batch, n)
+					res := sweepOnce(t, tag, func() []JobSpec { return deferredSweepJobs(t, n) },
+						Config{Procs: procs, Mgmt: Adaptive, Batch: batch})
+					for i, jr := range res.Jobs {
+						want := int64(deferredSweepJobs(t, n)[i].Prog.TotalCost())
+						if jr.Err != nil || jr.ComputeUnits != want {
+							t.Errorf("%s: job %q err=%v compute=%d, want %d", tag, jr.Name, jr.Err, jr.ComputeUnits, want)
+						}
+					}
+				}
+			}
+		}
+	})
 }
 
 // TestChaosReplayConservation records a traced chaos run and replays
@@ -345,10 +391,10 @@ func TestChaosFaultsOffIsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestChaosSingleProgramFaults covers the single-program engine's
-// injection: slow and stuck grains complete with inflated virtual time,
-// panics and errors fail the run, a crash loses capacity but finishes,
-// and a dropped wakeup is recovered.
+// TestChaosSingleProgramFaults covers injection into a program run
+// alone through Run: slow and stuck grains complete with inflated
+// virtual time, panics and errors fail the run, a crash loses capacity
+// but finishes, and a dropped wakeup is recovered.
 func TestChaosSingleProgramFaults(t *testing.T) {
 	build := func() (*core.Program, core.Options) {
 		prog, err := workload.Chain(enable.Identity, 3, 64, workload.FixedCost(100), 5)

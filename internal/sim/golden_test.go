@@ -15,17 +15,16 @@ import (
 	"repro/internal/casper"
 	"repro/internal/core"
 	"repro/internal/enable"
+	"repro/internal/metrics"
 	"repro/internal/workload"
 )
 
 // The golden determinism suite pins the engine's complete observable
-// output — Result / MultiResult fields, per-phase traces, scheduler
-// statistics, timeline totals, and the full Observer snapshot stream — to
-// fingerprints captured from the engine before the PR 6 hot-path rewrite
-// (typed 4-ary event heaps, incremental backfill candidates, running
-// ready counts, cached frontier). Any divergence, down to a single
+// output — Result / MultiResult fields, per-job and per-phase rundown
+// ledgers, scheduler statistics, timeline totals, and the full Observer
+// snapshot stream — to fingerprints. Any divergence, down to a single
 // snapshot firing one event earlier, changes the fingerprint and fails
-// the suite: the rewrite must be a pure performance change.
+// the suite: a performance change must leave every schedule untouched.
 //
 // Regenerate with `go test ./internal/sim -run TestGolden -update` ONLY
 // when an intentional semantic change is being made, and say so in the
@@ -81,24 +80,29 @@ func (g *goldenHasher) snapshots(sns []Snapshot) {
 	}
 }
 
+func (g *goldenHasher) phases(pts []PhaseTrace) {
+	for _, pt := range pts {
+		g.str(pt.Name)
+		g.ints(pt.Start, pt.End, pt.RundownStart, pt.IdleUnits,
+			pt.Dispatched, pt.OverlapUnits)
+	}
+}
+
+func (g *goldenHasher) timeline(tl *metrics.Timeline) {
+	g.ints(tl.BusyTotal(), tl.MgmtTotal(), tl.End(), tl.BucketWidth())
+	for _, b := range tl.ByProc() {
+		g.ints(b)
+	}
+}
+
 func (g *goldenHasher) result(res *Result) {
 	g.ints(res.Makespan, res.ComputeUnits, res.MgmtUnits, res.SerialUnits,
 		res.IdleUnits, int64(res.Workers), int64(res.Procs),
 		int64(res.Batch), int64(res.BatchChanges))
 	g.floats(res.Utilization, res.WorkerUtilization, res.MgmtRatio)
 	g.stats(res.Sched)
-	for _, pt := range res.Phases {
-		g.str(pt.Name)
-		g.ints(pt.Start, pt.End, pt.RundownStart, pt.IdleUnits,
-			pt.Dispatched, pt.OverlapUnits)
-	}
-	if res.Timeline != nil {
-		g.ints(res.Timeline.BusyTotal(), res.Timeline.MgmtTotal(),
-			res.Timeline.End(), res.Timeline.BucketWidth())
-		for _, b := range res.Timeline.ByProc() {
-			g.ints(b)
-		}
-	}
+	g.phases(res.Phases)
+	g.timeline(res.Timeline)
 }
 
 func (g *goldenHasher) multiResult(res *MultiResult) {
@@ -107,9 +111,12 @@ func (g *goldenHasher) multiResult(res *MultiResult) {
 	g.floats(res.Utilization)
 	for _, j := range res.Jobs {
 		g.str(j.Name)
-		g.ints(j.Makespan, j.ComputeUnits, j.BackfillUnits, int64(j.HomeWorkers))
+		g.ints(j.Makespan, j.ComputeUnits, j.BackfillUnits, int64(j.HomeWorkers),
+			j.SerialUnits)
 		g.stats(j.Sched)
+		g.phases(j.Phases)
 	}
+	g.timeline(res.Timeline)
 }
 
 // goldenFixture is one pinned configuration. run executes it and returns
@@ -236,6 +243,20 @@ func goldenFixtures() []goldenFixture {
 	}
 	fx = append(fx, singleFixture("checkerboard/steals-worker/p16",
 		goldenCheckerboard, goldenOpt(16), Config{Procs: 16, Mgmt: StealsWorker}))
+
+	// Wide machines on fine grains, where the order the management
+	// resource serves requests in moves the schedule most: a 3x512
+	// grain-1 chain at P=64, and the same program as a barrier (no
+	// overlap) under sharded management.
+	fineChain := func(t *testing.T) *core.Program { return goldenChain(t, 3, 512, 64) }
+	for _, m := range []MgmtModel{StealsWorker, Dedicated, Adaptive} {
+		fx = append(fx, singleFixture(fmt.Sprintf("fine-chain/%v/p64", m),
+			fineChain, goldenOpt(1), Config{Procs: 64, Mgmt: m}))
+	}
+	barrierOpt := goldenOpt(1)
+	barrierOpt.Overlap = false
+	fx = append(fx, singleFixture("barrier/sharded/p64",
+		fineChain, barrierOpt, Config{Procs: 64, Mgmt: Sharded}))
 
 	// Multi-program: the three models the seed engine supported, at two
 	// job counts, with mixed priorities and weights so the backfill

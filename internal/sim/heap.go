@@ -1,90 +1,11 @@
 package sim
 
-// This file is the engine's hot-path plumbing: concrete 4-ary min-heaps
-// for the two event queues and a compacting FIFO ring for the
-// single-program request queue. The previous engine used container/heap,
-// which costs an interface box per Push and per Pop (the `any`
-// conversions) plus dynamic dispatch on every comparison; at millions of
-// granules those allocations dominated the profile. The typed heaps
-// allocate only when the backing array grows — in steady state, never —
-// and the 4-ary shape halves the tree depth of a binary heap, trading
-// three extra (cache-resident) sibling comparisons per level for half the
-// cache-missing parent/child hops.
-//
-// Determinism: both heaps order by a strict total order (time, then the
-// unique insertion sequence number; the multi queue additionally ranks
-// asks before completions at equal times). A total order means heap
-// arity and sift implementation cannot affect pop order, so the switch
-// from container/heap is invisible to schedules — the golden suite pins
-// this.
+// This file is the engine's hot-path plumbing: the typed event queue and
+// the parked-worker bitset. Neither allocates in steady state — backing
+// arrays are reused once they reach their high-water marks — which the
+// zero-alloc gates in alloc_test.go pin.
 
-// eventHeap is the single-program completion-event queue: a 4-ary
-// min-heap ordered by (at, seq).
-type eventHeap []event
-
-func (h eventHeap) before(a, b event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-func (h *eventHeap) push(e event) {
-	s := append(*h, e)
-	// Sift up.
-	i := len(s) - 1
-	for i > 0 {
-		p := (i - 1) / 4
-		if !s.before(s[i], s[p]) {
-			break
-		}
-		s[i], s[p] = s[p], s[i]
-		i = p
-	}
-	*h = s
-}
-
-func (h *eventHeap) pop() event {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s = s[:n]
-	*h = s
-	// Sift down.
-	i := 0
-	for {
-		c := i*4 + 1
-		if c >= n {
-			break
-		}
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		m := c
-		for k := c + 1; k < end; k++ {
-			if s.before(s[k], s[m]) {
-				m = k
-			}
-		}
-		if !s.before(s[m], s[i]) {
-			break
-		}
-		s[i], s[m] = s[m], s[i]
-		i = m
-	}
-	return top
-}
-
-func (h eventHeap) peekTime() (int64, bool) {
-	if len(h) == 0 {
-		return 0, false
-	}
-	return h[0].at, true
-}
-
-// mqueue is the multi-program queue of asks and completions, ordered by
+// mqueue is the engine's queue of asks and completions, ordered by
 // (at, ask-before-completion, seq). It is a calendar queue rather than a
 // heap: the engine's pushes are monotone (every event is scheduled at or
 // after the time of the event being processed — completion finishes,
@@ -161,12 +82,30 @@ func (h *mqueue) alloc(it mitem) int32 {
 	return int32(len(h.slots) - 1)
 }
 
+// init allocates the bucket ring for a machine of workers processors.
+// Each worker has at most one task in flight and one live ask, so every
+// bucket's lists start with room for one item per worker (capped, so a
+// huge machine does not pay for ticks that never fill up). The lists
+// are carved from two shared arrays: a run reaches its steady state
+// without the hundreds of per-bucket doublings that otherwise scale
+// with how long the run lasts.
+func (h *mqueue) init(workers int) {
+	c := min(workers, mqBucketCap)
+	asks := make([]int32, mqWindow*c)
+	dones := make([]int32, mqWindow*c)
+	h.buckets = make([]mbucket, mqWindow)
+	for i := range h.buckets {
+		h.buckets[i].asks = asks[i*c : i*c : (i+1)*c]
+		h.buckets[i].dones = dones[i*c : i*c : (i+1)*c]
+	}
+}
+
+// mqBucketCap bounds init's per-bucket list capacity.
+const mqBucketCap = 64
+
 func (h *mqueue) push(it mitem) {
 	if h.n == 0 && len(h.over) == 0 {
 		// Empty queue: re-anchor the window at the new event.
-		if h.buckets == nil {
-			h.buckets = make([]mbucket, mqWindow)
-		}
 		h.base = it.at
 		h.cursor = 0
 	}
@@ -353,38 +292,6 @@ func (h *mqueue) overPop() mkey {
 	}
 	return top
 }
-
-// reqRing is the single-program management FIFO. The previous engine
-// popped by reslicing (reqs = reqs[1:]) and pushed with append — the
-// backing array marched forward and reallocated every cap-len pops. The
-// ring pops by advancing a head index and compacts in place when a push
-// hits the array's end with dead space at the front, so a warmed-up run
-// never allocates for requests again.
-type reqRing struct {
-	buf  []request
-	head int
-}
-
-func (r *reqRing) push(q request) {
-	if r.head > 0 && len(r.buf) == cap(r.buf) {
-		n := copy(r.buf, r.buf[r.head:])
-		r.buf = r.buf[:n]
-		r.head = 0
-	}
-	r.buf = append(r.buf, q)
-}
-
-func (r *reqRing) pop() request {
-	q := r.buf[r.head]
-	r.head++
-	if r.head == len(r.buf) {
-		r.buf = r.buf[:0]
-		r.head = 0
-	}
-	return q
-}
-
-func (r *reqRing) len() int { return len(r.buf) - r.head }
 
 // parkedSet tracks parked workers as a bitset so wake passes iterate
 // only the set bits instead of scanning every worker: with a thousand

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/executive"
 	"repro/internal/fault"
+	"repro/internal/metrics"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -20,15 +21,16 @@ import (
 // alternatives; test with errors.Is.
 var ErrUnsupportedMgmt = errors.New("sim: unsupported management model")
 
-// This file is the MultiProgram mode: several jobs, each with its own
+// This file is the engine: one or more jobs, each with its own
 // core.Scheduler, sharing one P-processor machine in virtual time — the
-// discrete-event analogue of internal/tenant's worker pool. It prices
-// what tenancy costs the hot path: every management probe (including a
-// failed ask at a foreign job) is charged to the executive resource under
-// the same management models as Run, and the dispatch policy mirrors the
-// pool exactly: a worker serves its home job while anything there is
-// dispatchable, and backfills the other jobs — priority first, then
-// deficit-round-robin credit — only during its home job's rundown.
+// discrete-event analogue of internal/tenant's worker pool. Every
+// management probe (including a failed ask at a foreign job) is charged
+// to the executive resource under the configured management model, and
+// the dispatch policy mirrors the pool exactly: a worker serves its home
+// job while anything there is dispatchable, and backfills the other jobs
+// — priority first, then deficit-round-robin credit — only during its
+// home job's rundown. A job run alone (Run, RunJob) owns every worker and
+// never backfills.
 
 // mdrrQuantum matches the tenant pool's deficit-round-robin quantum.
 const mdrrQuantum = 64
@@ -82,6 +84,12 @@ type JobResult struct {
 	Err error
 	// Attempts counts schedule attempts (1 = never retried).
 	Attempts int
+	// SerialUnits is the executive time the job spent in between-phase
+	// serial actions.
+	SerialUnits int64
+	// Phases is the job's rundown ledger, one entry per program phase,
+	// accumulated over every attempt.
+	Phases []PhaseTrace
 }
 
 // MultiResult aggregates a multi-program run.
@@ -115,6 +123,11 @@ type MultiResult struct {
 	MaxBackfillTask int
 	// Jobs holds the per-job results in submission order.
 	Jobs []JobResult
+	// Timeline is the run's bucketed utilization recorder: every
+	// processor's compute and the management resource's busy time.
+	Timeline *metrics.Timeline `json:"-"`
+	// Gantt is non-nil when Config.Gantt was set.
+	Gantt *metrics.Gantt `json:"-"`
 }
 
 // mjob is one job's runtime state.
@@ -123,6 +136,8 @@ type mjob struct {
 	sched   *core.Scheduler
 	deficit int64
 	done    bool
+	// phases is the job's rundown ledger (see PhaseTrace).
+	phases []PhaseTrace
 	// ready and hasDef cache sched.ReadyTasks() and sched.HasDeferred(),
 	// refreshed by mstate.syncReady after every scheduler call, so wake
 	// and the idle-absorption probe read counters instead of re-querying
@@ -131,11 +146,10 @@ type mjob struct {
 	hasDef bool
 	// openAt gates dispatch: a serial action between phases (charged
 	// inside the completion that advanced the phase window) must finish
-	// before the next phase's queued granules may be handed out. The
-	// single-program simulator enforces this implicitly — every other
-	// worker is parked and the wake carries the serial's finish time —
-	// but in a shared pool another job's event can wake a worker inside
-	// the serial window, so the gate must be explicit.
+	// before the next phase's queued granules may be handed out. A wake
+	// carries the serial's finish time, but a worker can also ask inside
+	// the serial window (another job's event woke it, or its own reopen
+	// retry), so the gate must be explicit.
 	openAt int64
 
 	makespan int64
@@ -164,13 +178,12 @@ type mjob struct {
 }
 
 // mitem is one queue entry: a task completion (isDone) or an idle
-// worker's ask for work. Unlike the single-program simulator's FIFO
-// request list, the multi-program queue is strictly TIME-ordered
-// (insertion order only breaks ties): with one job, serving a
-// future-stamped wake before an earlier completion is harmless — nothing
-// else could have used the worker — but with several jobs one job's
-// serial-action delay must not commit workers before another job's
-// earlier release gets a chance to claim them.
+// worker's ask for work. The queue is strictly TIME-ordered (insertion
+// order only breaks ties), so the management server serves requests
+// first come, first served in virtual time: a future-stamped ask never
+// overtakes an earlier completion, and one job's serial-action delay
+// cannot commit workers before another job's earlier release gets a
+// chance to claim them.
 //
 // Asks carry the issuing generation of their worker: a parked worker
 // woken for time T can be re-woken for an earlier T' by another job's
@@ -213,12 +226,13 @@ func SupportsMulti(m MgmtModel) bool {
 }
 
 // RunMulti simulates jobs sharing one machine under cfg. All jobs start
-// at t=0. Config.BucketWidth, Gantt and the timeline are not used in
-// multi-program mode; Mgmt selects any management model (SupportsMulti
-// reports the accepted set). Under Adaptive, Config.Batch and
-// Options.AdaptiveBatch govern one pool-wide controller; under Async,
-// Config.ReadyCap and Config.LowWater size each job's slice of the
-// dedicated server's ready buffer.
+// at t=0. Mgmt selects any management model (SupportsMulti reports the
+// accepted set). Under Adaptive, Config.Batch and Options.AdaptiveBatch
+// govern one pool-wide controller; under Async, Config.ReadyCap and
+// Config.LowWater size each job's slice of the dedicated server's ready
+// buffer. A job's failure lands in its JobResult.Err, not in the
+// returned error, which reports only run-level failures (bad
+// configuration, cancellation, the runaway guard).
 func RunMulti(jobs []JobSpec, cfg Config) (*MultiResult, error) {
 	return RunMultiContext(context.Background(), jobs, cfg)
 }
@@ -274,6 +288,7 @@ func RunMultiContext(ctx context.Context, jobs []JobSpec, cfg Config) (*MultiRes
 		workerFree: make([]int64, workers),
 		orderDirty: true,
 	}
+	s.queue.init(workers)
 	var totalGranules, totalCost int64
 	for i := range jobs {
 		spec := jobs[i]
@@ -292,8 +307,12 @@ func RunMultiContext(ctx context.Context, jobs []JobSpec, cfg Config) (*MultiRes
 		if err != nil {
 			return failEarly(fmt.Errorf("sim: job %q: %w", spec.Name, err))
 		}
+		phases := make([]PhaseTrace, len(spec.Prog.Phases))
+		for k, ph := range spec.Prog.Phases {
+			phases[k] = PhaseTrace{Name: ph.Name, Start: -1, End: -1, RundownStart: -1}
+		}
 		s.jobs = append(s.jobs, &mjob{
-			spec: spec, sched: sched,
+			spec: spec, sched: sched, phases: phases,
 			opt: opt, attempts: 1, retriesLeft: spec.Retry,
 		})
 		if spec.Deadline > 0 {
@@ -305,6 +324,15 @@ func RunMultiContext(ctx context.Context, jobs []JobSpec, cfg Config) (*MultiRes
 	s.liveCount = len(s.jobs)
 	s.order = make([]int, 0, len(s.jobs))
 	s.cand = make([]int, 0, len(s.jobs))
+	bucket := cfg.BucketWidth
+	if bucket <= 0 {
+		// Roughly 200 buckets over a makespan estimate.
+		bucket = (totalCost/int64(workers) + 1) / 200
+	}
+	s.tl = metrics.NewTimeline(cfg.Procs, bucket)
+	if cfg.Gantt {
+		s.gantt = metrics.NewGantt(cfg.Procs)
+	}
 	s.obs = newObserver(cfg.Observer, cfg.ObserveEvery, totalCost, workers)
 	if s.obs != nil {
 		s.nowFn = s.frontier
@@ -312,10 +340,8 @@ func RunMultiContext(ctx context.Context, jobs []JobSpec, cfg Config) (*MultiRes
 	}
 	if cfg.Trace != nil {
 		s.tr = bindTrace(cfg.Trace, cfg.Mgmt, workers, s.jobs[0].spec.Prog)
-		m := cfg.Trace.Meta()
-		m.Jobs = m.Jobs[:0]
-		for _, j := range s.jobs {
-			m.Jobs = append(m.Jobs, j.spec.Name)
+		for ji, j := range s.jobs {
+			cfg.Trace.SetJob(ji, j.spec.Name)
 		}
 	}
 	s.met = cfg.Metrics
@@ -366,6 +392,8 @@ type mstate struct {
 	obs     *observer
 	tr      *trace.Ring    // flight recorder (nil = tracing off)
 	met     *telemetry.Set // metric set (nil = metrics off)
+	tl      *metrics.Timeline
+	gantt   *metrics.Gantt // nil unless Config.Gantt
 
 	queue      mqueue
 	seq        int64
@@ -473,8 +501,11 @@ func (s *mstate) syncReady(j *mjob) {
 	}
 }
 
-// chargeMgmt mirrors the single-program state.chargeMgmt: serialize on
-// the management server, or — Sharded — inline on the worker's own lane.
+// chargeMgmt charges cost units of executive time for a request involving
+// worker w: on the serial management server under the serial models, or —
+// under the Sharded model — inline on the worker's own lane, so management
+// from different processors proceeds concurrently. Requests with no worker
+// (w < 0) always serialize.
 func (s *mstate) chargeMgmt(w int, at int64, cost core.Cost) int64 {
 	if s.model != Sharded || w < 0 {
 		return s.serve(at, cost)
@@ -484,21 +515,34 @@ func (s *mstate) chargeMgmt(w int, at int64, cost core.Cost) int64 {
 		start = s.workerFree[w]
 	}
 	fin := start + int64(cost)
-	s.mgmtUnits += int64(cost)
+	if cost > 0 {
+		s.tl.AddMgmt(start, fin)
+		s.mgmtUnits += int64(cost)
+	}
 	s.workerFree[w] = fin
+	// The serialized lane (phase activation, deferred idle-time work)
+	// must never lag the management frontier: without this, deferred
+	// composite-map builds would be charged in the past — overlapping
+	// work that already happened.
 	if fin > s.serverFree {
 		s.serverFree = fin
 	}
 	return fin
 }
 
+// serve charges cost units of executive time on the serial management
+// server starting no earlier than at, records them, and returns the
+// finish time.
 func (s *mstate) serve(at int64, cost core.Cost) int64 {
 	start := at
 	if s.serverFree > start {
 		start = s.serverFree
 	}
 	fin := start + int64(cost)
-	s.mgmtUnits += int64(cost)
+	if cost > 0 {
+		s.tl.AddMgmt(start, fin)
+		s.mgmtUnits += int64(cost)
+	}
 	s.serverFree = fin
 	return fin
 }
@@ -638,6 +682,21 @@ func (s *mstate) candidates(w int) []int {
 	return out
 }
 
+// homePhase returns worker w's home job's current phase ledger entry,
+// or nil when the worker has no live home or the job is past its last
+// phase.
+func (s *mstate) homePhase(w int) *PhaseTrace {
+	h := s.homes[w]
+	if h < 0 {
+		return nil
+	}
+	j := s.jobs[h]
+	if cur := j.sched.CurrentPhase(); cur < len(j.phases) {
+		return &j.phases[cur]
+	}
+	return nil
+}
+
 func (s *mstate) park(w int, at int64) {
 	if s.parked[w] {
 		return
@@ -651,6 +710,9 @@ func (s *mstate) park(w int, at int64) {
 	s.parkedN++
 	s.parkedAt[w] = at
 	s.pendingAt[w] = -1
+	if pt := s.homePhase(w); pt != nil && pt.RundownStart < 0 {
+		pt.RundownStart = at
+	}
 }
 
 // beginAsk is the shared prologue of every ask handler: it drops asks a
@@ -672,6 +734,9 @@ func (s *mstate) beginAsk(req mitem) bool {
 		s.pendingAt[req.proc] = -1
 		if d := req.at - s.parkedAt[req.proc]; d > 0 {
 			s.idleUnits += d
+			if pt := s.homePhase(req.proc); pt != nil {
+				pt.IdleUnits += d
+			}
 		}
 	}
 	return true
@@ -759,7 +824,7 @@ func (s *mstate) run(maxOps int64) error {
 	// An already-cancelled context aborts before any work (the in-loop
 	// poll is batched and would let a small run finish unobserved).
 	if err := s.ctx.Err(); err != nil {
-		return fmt.Errorf("sim: multi run canceled at t=0: %w", err)
+		return fmt.Errorf("sim: run canceled at t=0: %w", err)
 	}
 	for ji, j := range s.jobs {
 		c0 := s.serverFree
@@ -796,13 +861,14 @@ func (s *mstate) run(maxOps int64) error {
 	for {
 		ops++
 		if ops > maxOps {
-			return fmt.Errorf("sim: multi run exceeded %d management operations (runaway?)", maxOps)
+			return fmt.Errorf("sim: exceeded %d management operations (runaway?)", maxOps)
 		}
-		// Cooperative cancellation, as in the single-program loop: one ctx
-		// poll per batch of management operations.
+		// Cooperative cancellation: one ctx poll per batch of management
+		// operations, so a cancelled caller gets back promptly without the
+		// hot loop paying an atomic load per event.
 		if ops&1023 == 0 {
 			if err := s.ctx.Err(); err != nil {
-				return fmt.Errorf("sim: multi run canceled at t=%d: %w", s.frontier(), err)
+				return fmt.Errorf("sim: run canceled at t=%d: %w", s.frontier(), err)
 			}
 		}
 		// Guarded here, not in maybe: an unobserved run must not pay even
@@ -822,13 +888,15 @@ func (s *mstate) run(maxOps int64) error {
 			continue
 		}
 
-		// Idle executive moment (nothing due before the management
+		// Idle executive moment (nothing due until after the management
 		// resource frees up): absorb one deferred management item from
-		// the first unfinished job that has any (deterministic order).
-		// deferredN gates the scan — the idle condition is common, and
-		// without the counter every such event would re-probe all jobs.
+		// the first unfinished job that has any (deterministic order). An
+		// item due exactly when the server frees is served first —
+		// idle-time work must not preempt due work. deferredN gates the
+		// scan — the idle condition is common, and without the counter
+		// every such event would re-probe all jobs.
 		next, have := s.queue.peekTime()
-		if s.deferredN > 0 && (!have || next >= s.serverFree) {
+		if s.deferredN > 0 && (!have || next > s.serverFree) {
 			absorbed := false
 			for _, j := range s.jobs {
 				if j.done || !j.hasDef {
@@ -946,7 +1014,7 @@ func (s *mstate) run(maxOps int64) error {
 				continue
 			}
 		}
-		return fmt.Errorf("sim: multi run stalled at t=%d: queue empty, jobs incomplete", s.serverFree)
+		return fmt.Errorf("sim: stalled at t=%d: queue empty, jobs incomplete", s.serverFree)
 	}
 }
 
@@ -1030,15 +1098,43 @@ func (s *mstate) dispatch(worker, ji int, backfill bool, task core.Task, at int6
 			s.maxBackfillTask = n
 		}
 	}
+	s.tl.AddBusy(worker, at, end)
+	if s.gantt != nil {
+		s.gantt.Add(worker, at, end, rune('A'+int(task.Phase)%26))
+	}
+	pt := &j.phases[task.Phase]
+	if pt.Start < 0 || at < pt.Start {
+		pt.Start = at
+	}
+	pt.Dispatched++
+	// Rundown fill: compute this worker performs for anything but its
+	// home job's current phase — a later phase (overlap) or another job
+	// (backfill) — fills that phase's rundown.
+	if hp := s.homePhase(worker); hp != nil && hp != pt {
+		hp.OverlapUnits += dur
+		if backfill && hp.RundownStart < 0 {
+			hp.RundownStart = at
+		}
+	}
 	if end+lag > s.workerFree[worker] {
 		s.workerFree[worker] = end + lag
 	}
 	s.push(mitem{at: end + lag, isDone: true, proc: worker, gen: j.attempt, job: ji, task: task, dur: dur, fail: fail})
 }
 
+// noteEnd extends task t's phase window to at, the time its completion
+// finished processing.
+func (j *mjob) noteEnd(t core.Task, at int64) {
+	if pt := &j.phases[t.Phase]; at > pt.End {
+		pt.End = at
+	}
+}
+
 func (s *mstate) completeTask(req mitem) {
-	// Done-work accrual for the observer (see the single-program loop):
-	// snapshots count a task's compute only once it has completed.
+	// Done-work accrual for the observer: computeUnits is charged in full
+	// at dispatch (it includes in-flight tasks' future work, which would
+	// read as utilization > 1 mid-run), so snapshots count a task's
+	// compute only once its completion event is served.
 	s.doneUnits += req.dur
 	j := s.jobs[req.job]
 	serial0 := j.sched.SerialCost()
@@ -1059,18 +1155,21 @@ func (s *mstate) completeTask(req mitem) {
 			s.front = fin
 		}
 	}
+	j.noteEnd(req.task, fin)
 	s.noteJobDone(j)
 	s.syncReady(j)
 	s.wake(fin)
 	// Fast path: when the worker's re-ask would be the very next event
-	// anyway, serve it inline and skip the heap push/pop pair. This is
-	// exactly the event the main loop would process next — any worker
-	// wake just issued at fin carries a lower sequence number and defeats
-	// the peek check, and deferred absorption (which the loop would try
-	// first, since completion processing leaves serverFree == fin) gates
-	// the path out entirely. The loop-top observer poll is replayed here
-	// so snapshot streams are untouched.
-	if s.deferredN == 0 && s.queue.askWouldPopFirst(fin) {
+	// anyway, serve it inline and skip the queue push/pop pair. This is
+	// exactly the event the main loop would process next: any worker wake
+	// just issued at fin carries a lower sequence number and defeats the
+	// peek check, and the loop would not absorb deferred work first —
+	// completion processing leaves serverFree >= fin, and an ask due when
+	// the server frees is served before idle-time work. Deadline runs
+	// take the loop so its deadline check sees the re-ask's time. The
+	// loop-top observer poll is replayed here so snapshot streams are
+	// untouched.
+	if !s.hasDeadline && s.queue.askWouldPopFirst(fin) {
 		if s.obs != nil {
 			if at, fired := s.obs.maybe(s.nowFn, s.snapFn); fired && s.tr != nil {
 				s.tr.Record(trace.KMark, at, -1, -1, -1, 0, 0, 0)
@@ -1096,16 +1195,20 @@ func (s *mstate) frontier() int64 {
 	return s.front
 }
 
-// snapshot builds an observation of the multi-program run at virtual
-// time at. Jobs counts the still-unfinished jobs, so a live observer
-// watches the tenancy drain; ComputeUnits counts completed tasks only
-// (see the single-program snapshot).
+// snapshot builds an observation of the run at virtual time at. Jobs
+// counts the still-unfinished jobs, so a live observer watches the
+// tenancy drain (a job run alone reads 1, then 0 on the Final snapshot);
+// ComputeUnits counts completed tasks only — dispatch-time accrual would
+// include in-flight tasks' future work and read as utilization above 1.
 func (s *mstate) snapshot(at int64) Snapshot {
 	sn := Snapshot{
 		VirtualTime:  at,
 		ComputeUnits: s.doneUnits,
 		MgmtUnits:    s.mgmtUnits,
 		IdleUnits:    s.idleUnits,
+	}
+	if s.model == Adaptive {
+		sn.Batch = s.batchN
 	}
 	for _, j := range s.jobs {
 		sn.Tasks += j.sched.Dispatches()
@@ -1128,6 +1231,7 @@ func (s *mstate) result() *MultiResult {
 			makespan = j.makespan
 		}
 	}
+	// Close out any still-parked workers at the makespan.
 	for w := range s.parked {
 		if s.parked[w] {
 			s.parked[w] = false
@@ -1136,6 +1240,7 @@ func (s *mstate) result() *MultiResult {
 			}
 		}
 	}
+	s.tl.SetEnd(makespan)
 	res := &MultiResult{
 		Makespan:     makespan,
 		ComputeUnits: s.computeUnits,
@@ -1143,6 +1248,8 @@ func (s *mstate) result() *MultiResult {
 		IdleUnits:    s.idleUnits,
 		Workers:      s.workers,
 		Procs:        s.procs,
+		Timeline:     s.tl,
+		Gantt:        s.gantt,
 	}
 	if s.model == Adaptive {
 		res.Batch = s.batchN
@@ -1153,17 +1260,21 @@ func (s *mstate) result() *MultiResult {
 	res.Faults = s.plan.Injected()
 	res.Retries = s.retries
 	res.MaxBackfillTask = s.maxBackfillTask
+	res.Jobs = make([]JobResult, 0, len(s.jobs))
 	for _, j := range s.jobs {
 		res.BackfillUnits += j.backfill
+		st := j.sched.Stats()
 		res.Jobs = append(res.Jobs, JobResult{
 			Name:          j.spec.Name,
 			Makespan:      j.makespan,
 			ComputeUnits:  j.compute,
 			BackfillUnits: j.backfill,
 			HomeWorkers:   j.homeAt0,
-			Sched:         j.sched.Stats(),
+			Sched:         st,
 			Err:           j.err,
 			Attempts:      j.attempts,
+			SerialUnits:   int64(st.SerialCost),
+			Phases:        j.phases,
 		})
 	}
 	if makespan > 0 {
@@ -1174,7 +1285,7 @@ func (s *mstate) result() *MultiResult {
 
 // finishMetrics flushes the run's accumulated time-split totals into the
 // metric set on any outcome — once, at the end, so the hot serve path
-// stays metric-free (the single-program engine does the same).
+// stays metric-free.
 func (s *mstate) finishMetrics() {
 	if s.met == nil {
 		return

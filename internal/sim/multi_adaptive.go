@@ -6,11 +6,10 @@ import (
 	"repro/internal/trace"
 )
 
-// This file is the Adaptive management model in multi-program mode: the
-// single-program batched-shard protocol (sim.go's adaptiveAsk /
-// adaptiveComplete) with each worker's shard tagged by the job its last
-// refill pulled from, so the virtual-time pricing covers what sharded
-// batching costs a tenant machine:
+// This file is the Adaptive management model — the batched-executive
+// protocol, with each worker's shard tagged by the job its last refill
+// pulled from, so the virtual-time pricing covers what sharded batching
+// costs a tenant machine:
 //
 //   - a worker pops its local shard for free while tasks remain — the
 //     whole point of batching — and the shard's tasks all belong to one
@@ -23,8 +22,8 @@ import (
 //     deficit credit for a foreign refill charged for the whole pulled
 //     batch at pull time;
 //   - one Acquire covers the combined flush+refill visit (the visited
-//     job's own Acquire cost — each job prices its own lock), exactly as
-//     the single-program model charges one per lock visit;
+//     job's own Acquire cost — each job prices its own lock), one charge
+//     per lock visit;
 //   - starvation is priced pool-wide: ONE hoarded-idle integral
 //     (min(parked workers, hoarded tasks) over virtual time) and ONE
 //     controller retune the shared batch knobs for the whole machine,
@@ -52,8 +51,7 @@ type mshard struct {
 }
 
 // madaptiveInit sets the pool-wide batch knobs, the per-worker shards,
-// and — when any job opts into adaptive batching — the shared controller,
-// with the same defaults and epoch sizing as the single-program model.
+// and — when any job opts into adaptive batching — the shared controller.
 func (s *mstate) madaptiveInit(cfg Config, totalCost int64) {
 	b := cfg.Batch
 	if b <= 0 {
@@ -76,9 +74,8 @@ func (s *mstate) madaptiveInit(cfg Config, totalCost int64) {
 	for i := range s.mab {
 		s.mab[i].job = -1
 	}
-	// Observation epochs: aim for ~100 per run, as in the single-program
-	// model, so the multiplicative controller has room to travel and
-	// settle.
+	// Observation epochs: aim for ~100 per run so the multiplicative
+	// controller has room to travel and settle.
 	s.epochLen = (totalCost/int64(s.workers) + 1) / 100
 	if s.epochLen < 1 {
 		s.epochLen = 1
@@ -104,9 +101,12 @@ func (s *mstate) mNoteStarve(now int64) {
 }
 
 // mMaybeRetune feeds the shared controller one epoch of pool-wide
-// virtual-time measurements when enough virtual time has passed (see the
-// single-program maybeRetune; the lock-starvation input is likewise zero
-// in virtual time).
+// virtual-time measurements when enough virtual time has passed: the
+// Acquire charges are the amortizable lock overhead, and the hoarded-idle
+// integral the starvation a smaller batch would have fed. The virtual
+// machine has no cond-parked-behind-the-lock state — every wait is priced
+// into the serialized server directly — so the lock-starvation input is
+// zero.
 func (s *mstate) mMaybeRetune(now int64) {
 	if s.tuner == nil || now-s.lastObsAt < s.epochLen {
 		return
@@ -145,8 +145,11 @@ func (s *mstate) mFlush(sh *mshard, at int64) int64 {
 	j := s.jobs[sh.job]
 	serial0 := j.sched.SerialCost()
 	cost := j.sched.CompleteBatch(sh.done)
-	sh.done = sh.done[:0]
 	fin := s.serve(at, cost)
+	for _, t := range sh.done {
+		j.noteEnd(t, fin)
+	}
+	sh.done = sh.done[:0]
 	if j.sched.SerialCost() > serial0 && fin > j.openAt {
 		j.openAt = fin
 	}
@@ -274,6 +277,10 @@ func (s *mstate) madaptiveComplete(req mitem) {
 		at = s.mFlush(sh, at)
 		s.mMaybeRetune(at)
 		s.wake(at)
+	} else {
+		// Batched: the completion waits in the worker's local batch at no
+		// management charge; the phase still saw the event.
+		s.jobs[sh.job].noteEnd(req.task, at)
 	}
 	// The worker asks for new work once its completion is handed off.
 	s.push(mitem{at: at, proc: req.proc, gen: s.askGen[req.proc]})

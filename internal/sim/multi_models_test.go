@@ -1,7 +1,7 @@
 package sim
 
 // Conservation, determinism, and tenancy-behaviour tests for the two
-// batched management models in multi-program mode: the Async per-job
+// batched management models with several jobs: the Async per-job
 // ready buffers and the Adaptive job-tagged shards. The invariants these
 // pin are exactly what the buffering could break: every granule of every
 // job executed exactly once (nothing stranded in a buffer, nothing leaked

@@ -9,82 +9,6 @@ import (
 	"repro/internal/workload"
 )
 
-// TestMultiSingleJobMatchesRun: with one job the multi-program loop must
-// reproduce the single-program simulator exactly under every management
-// model — same makespan, compute, and management charge. The fixtures
-// cover both overlap (identity chain) and the serial-action path: the
-// multi loop's explicit openAt gate and time-ordered queue must collapse
-// to Run's implicit wake-delayed serial barrier when only one job runs.
-func TestMultiSingleJobMatchesRun(t *testing.T) {
-	serialProg := func() *core.Program {
-		prog, err := core.NewProgram(
-			&core.Phase{Name: "s1", Granules: 64},
-			&core.Phase{Name: "s2", Granules: 64, SerialCost: 500},
-			&core.Phase{Name: "s3", Granules: 64, SerialCost: 500},
-		)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return prog
-	}
-	fixtures := []struct {
-		name  string
-		build func() *core.Program
-		// slackPerSerial bounds the makespan difference per serial action
-		// under StealsWorker ONLY: that model shares one management
-		// server, and the single-program FIFO serves a late-stamped ask
-		// BEFORE an earlier completion event, burying its failed probe in
-		// otherwise-idle server time where the time-ordered multi queue
-		// correctly places it after the serial action. The drift is at
-		// most one probe charge per serial action; every other model and
-		// fixture must match exactly.
-		serials int
-	}{
-		{"identity", func() *core.Program { return twoPhase(t, 256, enable.NewIdentity()) }, 0},
-		{"serial-actions", serialProg, 2},
-	}
-	for _, fx := range fixtures {
-		for _, model := range []MgmtModel{StealsWorker, Dedicated, Sharded} {
-			opt := func() core.Options {
-				return core.Options{Grain: 4, Overlap: true, Costs: core.DefaultCosts()}
-			}
-			single, err := Run(fx.build(), opt(), Config{Procs: 8, Mgmt: model})
-			if err != nil {
-				t.Fatalf("%s/%v: %v", fx.name, model, err)
-			}
-			multi, err := RunMulti([]JobSpec{
-				{Name: "solo", Prog: fx.build(), Opt: opt()},
-			}, Config{Procs: 8, Mgmt: model})
-			if err != nil {
-				t.Fatalf("%s/%v: %v", fx.name, model, err)
-			}
-			slack := int64(0)
-			if model == StealsWorker && fx.serials > 0 {
-				// At most a couple of probe charges drift per serial action.
-				probe := int64(core.DefaultCosts().Dispatch)
-				slack = int64(fx.serials) * 2 * probe
-			}
-			if d := multi.Makespan - single.Makespan; d < 0 || d > slack {
-				t.Errorf("%s/%v: multi makespan %d vs single %d (allowed slack %d)",
-					fx.name, model, multi.Makespan, single.Makespan, slack)
-			}
-			if multi.ComputeUnits != single.ComputeUnits {
-				t.Errorf("%s/%v: multi compute %d != single %d", fx.name, model, multi.ComputeUnits, single.ComputeUnits)
-			}
-			if d := multi.MgmtUnits - single.MgmtUnits; d < -slack || d > slack {
-				t.Errorf("%s/%v: multi mgmt %d vs single %d (allowed slack %d)",
-					fx.name, model, multi.MgmtUnits, single.MgmtUnits, slack)
-			}
-			if multi.BackfillUnits != 0 {
-				t.Errorf("%s/%v: single-job run recorded backfill %d", fx.name, model, multi.BackfillUnits)
-			}
-			if multi.Jobs[0].Makespan != multi.Makespan {
-				t.Errorf("%s/%v: job makespan %d != run makespan %d", fx.name, model, multi.Jobs[0].Makespan, multi.Makespan)
-			}
-		}
-	}
-}
-
 // TestMultiDeterministic: identical inputs must produce identical results.
 func TestMultiDeterministic(t *testing.T) {
 	build := func() []JobSpec {

@@ -35,9 +35,8 @@ type Snapshot struct {
 	// Batch is the Adaptive model's current refill batch size (zero under
 	// the other models) — live evidence of the controller moving.
 	Batch int
-	// Jobs is the number of unfinished jobs: 1 while a single-program
-	// run is live (0 on its Final snapshot); counts down to 0 in
-	// multi-program runs.
+	// Jobs is the number of unfinished jobs, counting down to 0 on the
+	// Final snapshot (a job run alone reads 1 while it is live).
 	Jobs int
 	// Final marks the closing snapshot, emitted once at the makespan with
 	// the run's finished totals.
@@ -56,7 +55,7 @@ func observeStride(totalCost int64, workers int) int64 {
 	return stride
 }
 
-// observer is the shared emission state for both run loops.
+// observer is the run loop's snapshot emission state.
 type observer struct {
 	fn     func(Snapshot)
 	stride int64

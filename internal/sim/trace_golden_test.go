@@ -5,7 +5,7 @@ package sim
 // the top of the loop iteration before the event it serves, (2) each
 // KComplete precedes the scheduler absorption that enables further
 // dispatches (so any enabled KDispatch carries a larger Seq), and (3)
-// otherwise events follow the engine's FIFO/queue tie-break order. The
+// otherwise events follow the engine's queue tie-break order. The
 // full merged event stream of fixed small configurations — every field
 // of every event — is fingerprinted against testdata/trace_golden.txt.
 // A change that reorders even two same-tick events changes the hash.

@@ -1,6 +1,7 @@
 package tenant
 
 import (
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/enable"
 	"repro/internal/executive"
 	"repro/internal/granule"
+	"repro/internal/trace"
 )
 
 // buildCopyChain builds the three-phase identity copy chain used across
@@ -394,6 +396,61 @@ func TestPoolDynamicSubmit(t *testing.T) {
 	checkCopyChain(t, aB, bB, cB)
 	if _, err := p.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPoolTraceTakeDuringSubmit snapshots a live pool's trace while jobs
+// are being submitted, as the daemon's trace endpoint does: Submit grows
+// the recorder's job list and Take copies it, so under -race this pins
+// that both go through the recorder's lock.
+func TestPoolTraceTakeDuringSubmit(t *testing.T) {
+	const jobs = 64
+	rec := trace.NewRecorder(trace.Meta{}, 2)
+	p, err := NewPool(Config{Workers: 2, Trace: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	taken := make(chan int)
+	go func() {
+		n := 0
+		for {
+			select {
+			case <-stop:
+				taken <- n
+				return
+			default:
+				n += len(rec.Take().Meta.Jobs)
+			}
+		}
+	}()
+	var handles []*Job
+	for i := 0; i < jobs; i++ {
+		prog, _, _, _ := buildCopyChain(t, 64)
+		h, err := p.Submit(prog, core.Options{Grain: 4, Costs: core.DefaultCosts()}, JobConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		handles = append(handles, h)
+	}
+	for _, h := range handles {
+		if _, err := h.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	<-taken
+	if _, err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	names := rec.Take().Meta.Jobs
+	if len(names) != jobs {
+		t.Fatalf("trace names %d jobs, want %d: %v", len(names), jobs, names)
+	}
+	for i, name := range names {
+		if want := fmt.Sprintf("job%d", i); name != want {
+			t.Errorf("job %d named %q, want %q", i, name, want)
+		}
 	}
 }
 

@@ -352,8 +352,8 @@ func (p *Pool) Submit(prog *core.Program, opt core.Options, jc JobConfig) (*Job,
 	}
 	if rec := p.cfg.Trace; rec != nil {
 		// Job names accumulate in submit order, matching the Job column of
-		// the records (mutated under p.mu, read only after Close).
-		rec.Meta().Jobs = append(rec.Meta().Jobs, j.cfg.Name)
+		// the records. SetJob locks against a live Take.
+		rec.SetJob(j.idx, j.cfg.Name)
 	}
 	p.jobs = append(p.jobs, j)
 	if p.cfg.MaxActive > 0 && len(p.active) >= p.cfg.MaxActive {

@@ -26,6 +26,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -282,8 +283,23 @@ func (r *Recorder) Emit(k Kind, at int64, proc, job, phase int32, lo, hi uint32,
 
 // Meta returns the recorder's run description for late amendment (e.g.
 // filling phase names after construction). Not safe concurrently with
-// recording workers that read it; amend before the run or after Take.
+// Take; amend before the run starts. The job list is the exception: it
+// grows while a live pool admits jobs, so it changes only through
+// SetJob.
 func (r *Recorder) Meta() *Meta { return &r.meta }
+
+// SetJob names job i in Meta.Jobs — the label of the records whose Job
+// column is i — growing the list as needed. It takes the recorder's
+// lock, so jobs may be named while a concurrent Take snapshots the
+// trace.
+func (r *Recorder) SetJob(i int, name string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for len(r.meta.Jobs) <= i {
+		r.meta.Jobs = append(r.meta.Jobs, "")
+	}
+	r.meta.Jobs[i] = name
+}
 
 // Take merges every ring and the aux channel into one Trace ordered by
 // (Time, Seq). It does not consume the rings, so a second Take returns
@@ -300,6 +316,8 @@ func (r *Recorder) Take() *Trace {
 	}
 	r.mu.Lock()
 	ev = append(ev, r.aux...)
+	meta := r.meta
+	meta.Jobs = slices.Clone(r.meta.Jobs)
 	r.mu.Unlock()
 	sort.Slice(ev, func(i, j int) bool {
 		if ev[i].Time != ev[j].Time {
@@ -307,7 +325,7 @@ func (r *Recorder) Take() *Trace {
 		}
 		return ev[i].Seq < ev[j].Seq
 	})
-	return &Trace{Meta: r.meta, Events: ev}
+	return &Trace{Meta: meta, Events: ev}
 }
 
 // Trace is a completed recording: the run description plus its events in

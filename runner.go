@@ -307,9 +307,11 @@ func (b *virtualBackend) Run(ctx context.Context, job Job) (*Report, error) {
 	cfg := b.c.simConfig()
 	cfg.Trace = rec
 	cfg.Metrics = met
-	res, err := sim.RunContext(ctx, job.Prog, b.c.jobOpt(job), cfg)
+	res, err := sim.RunJob(ctx, b.simJob(job, 0), cfg)
 	if err != nil {
-		return nil, err
+		// Every failure names the job it killed, as on the executive;
+		// deadline and cancellation errors keep wrapping their cause.
+		return nil, fmt.Errorf("rundown: job %q: %w", jobName(job, 0), err)
 	}
 	out := &Report{
 		Backend:     VirtualBackend,
@@ -320,6 +322,8 @@ func (b *virtualBackend) Run(ctx context.Context, job Job) (*Report, error) {
 		Makespan:    res.Makespan,
 		Utilization: res.Utilization,
 		MgmtRatio:   res.MgmtRatio,
+		Faults:      res.Faults,
+		Retries:     res.Retries,
 		Sim:         res,
 	}
 	b.c.finishMetrics(met, out)
@@ -327,6 +331,19 @@ func (b *virtualBackend) Run(ctx context.Context, job Job) (*Report, error) {
 		return out, terr
 	}
 	return out, nil
+}
+
+// simJob is job i's virtual-time spec, carrying its failure policy.
+func (b *virtualBackend) simJob(job Job, i int) sim.JobSpec {
+	return sim.JobSpec{
+		Name: jobName(job, i), Prog: job.Prog, Opt: b.c.jobOpt(job),
+		Priority: job.Priority, Weight: job.Weight,
+		// One virtual unit per nanosecond keeps the same Job spec
+		// meaningful on both clocks.
+		Deadline: int64(b.c.jobDeadline(job)),
+		Retry:    b.c.jobRetry(job),
+		Backoff:  int64(b.c.jobBackoff(job)),
+	}
 }
 
 func (b *virtualBackend) RunAll(ctx context.Context, jobs []Job) (*Report, error) {
@@ -337,15 +354,7 @@ func (b *virtualBackend) RunAll(ctx context.Context, jobs []Job) (*Report, error
 	cfg.Metrics = met
 	specs := make([]sim.JobSpec, len(jobs))
 	for i, job := range jobs {
-		specs[i] = sim.JobSpec{
-			Name: jobName(job, i), Prog: job.Prog, Opt: b.c.jobOpt(job),
-			Priority: job.Priority, Weight: job.Weight,
-			// One virtual unit per nanosecond keeps the same Job spec
-			// meaningful on both clocks.
-			Deadline: int64(b.c.jobDeadline(job)),
-			Retry:    b.c.jobRetry(job),
-			Backoff:  int64(b.c.jobBackoff(job)),
-		}
+		specs[i] = b.simJob(job, i)
 	}
 	res, err := sim.RunMultiContext(ctx, specs, cfg)
 	if err != nil {
