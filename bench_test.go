@@ -506,9 +506,9 @@ func BenchmarkRunnerChainFineSharded(b *testing.B) {
 // BenchmarkTraceRecordChainFine measures what the flight recorder costs
 // on the hottest dispatch path: the fine-grain chain under the sharded
 // manager (8 workers, one trace record per dispatch and per completion),
-// traced versus untraced. The "off" variant doubles as the tracing-off
-// fast-path guard — it runs the same Runner code with the recorder nil,
-// and must stay within noise of BenchmarkManagerChainFineSharded.
+// traced ("on") versus untraced ("off"), through the same Runner code
+// with the recorder set or nil. The difference of the two series, in
+// ns/op and B/op, is the recorder's cost on this workload.
 func BenchmarkTraceRecordChainFine(b *testing.B) {
 	run := func(b *testing.B, opts ...rundown.Option) {
 		runner, err := rundown.New(append([]rundown.Option{
@@ -539,11 +539,11 @@ func BenchmarkTraceRecordChainFine(b *testing.B) {
 
 // BenchmarkMetricsChainFine measures what unified telemetry costs on the
 // hottest dispatch path: the fine-grain chain under the sharded manager,
-// metered versus unmetered. Recording is per-worker sharded counters plus
-// one histogram observation per dispatch (the fine path adds one clock
-// read), so the "on" series must sit within noise of "off" — the
-// metrics-off fast-path guard, the telemetry analogue of
-// BenchmarkTraceRecordChainFine.
+// metered ("on") versus unmetered ("off"). Metering adds per-worker
+// sharded counters and one dispatch-wait histogram observation per
+// dispatch, which needs two monotonic clock readings around every Next
+// call. The difference of the two series is telemetry's cost on this
+// workload — the telemetry analogue of BenchmarkTraceRecordChainFine.
 func BenchmarkMetricsChainFine(b *testing.B) {
 	run := func(b *testing.B, opts ...rundown.Option) {
 		runner, err := rundown.New(append([]rundown.Option{

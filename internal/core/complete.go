@@ -52,7 +52,8 @@ func (s *Scheduler) Complete(t Task) Cost {
 	// counters are still advanced so that deferred successor-splitting
 	// tasks and phase accounting stay consistent.
 	if pr.tab != nil {
-		released := granule.NewSet()
+		released := &s.released
+		released.Clear()
 		charged := 0
 		d.run.Each(func(p granule.ID) {
 			suppressed := false
@@ -156,8 +157,9 @@ func (s *Scheduler) completeGroup(ts []Task) Cost {
 	// Task runs are pairwise disjoint (the dispatch path guards against
 	// double dispatch), so the per-task double-completion check against
 	// the already-completed set mirrors sequential semantics.
-	merged := granule.NewSet()
-	var succ *granule.Set // conflict-released successor granules
+	merged, succ := &s.merged, &s.succ // succ: conflict-released successor granules
+	merged.Clear()
+	succ.Clear()
 	for _, t := range ts {
 		d, ok := s.inflight.take(t.ID)
 		if !ok {
@@ -168,26 +170,23 @@ func (s *Scheduler) completeGroup(ts []Task) Cost {
 		}
 		merged.AddRange(d.run)
 		if !d.succ.Empty() {
-			if succ == nil {
-				succ = granule.NewSet()
-			}
 			succ.AddRange(d.succ)
 			d.succ = granule.Range{}
 		}
 		s.putDesc(d)
 	}
-	for _, r := range merged.Runs() {
-		pr.completed.AddRange(r)
+	for i := 0; i < merged.NumRuns(); i++ {
+		pr.completed.AddRange(merged.Run(i))
 	}
 	pr.nComplete += merged.Len()
 
 	// Release the conflict-queued successors as coalesced descriptions,
 	// ahead of normal work — one queue insertion per contiguous run
 	// instead of one per drained description.
-	if succ != nil && int(pr.idx)+1 < len(s.phases) {
+	if !succ.Empty() && int(pr.idx)+1 < len(s.phases) {
 		next := s.phases[int(pr.idx)+1]
-		for _, run := range succ.Runs() {
-			cost += s.pushDesc(s.getDesc(next.idx, run), s.releasedClass())
+		for i := 0; i < succ.NumRuns(); i++ {
+			cost += s.pushDesc(s.getDesc(next.idx, succ.Run(i)), s.releasedClass())
 			s.stats.Releases++
 		}
 	}
@@ -196,10 +195,11 @@ func (s *Scheduler) completeGroup(ts []Task) Cost {
 	// suppression rules and cost charges as the sequential path; the
 	// released successors of the whole group coalesce into one release.
 	if pr.tab != nil {
-		released := granule.NewSet()
+		released := &s.released
+		released.Clear()
 		charged := 0
-		for _, run := range merged.Runs() {
-			run.Each(func(p granule.ID) {
+		for i := 0; i < merged.NumRuns(); i++ {
+			merged.Run(i).Each(func(p granule.ID) {
 				suppressed := false
 				n := pr.tab.Complete(p, func(r granule.ID) {
 					if pr.cqManaged.Contains(r) {
@@ -228,8 +228,8 @@ func (s *Scheduler) completeGroup(ts []Task) Cost {
 
 		if pr.subsetCounter.Armed() {
 			fired := false
-			for _, run := range merged.Runs() {
-				hits := pr.subsetPreds.CountRange(run)
+			for i := 0; i < merged.NumRuns(); i++ {
+				hits := pr.subsetPreds.CountRange(merged.Run(i))
 				for i := 0; i < hits; i++ {
 					if pr.subsetCounter.Dec() {
 						fired = true

@@ -76,6 +76,14 @@ type Scheduler struct {
 	// itself.
 	freeDescs []*desc
 	descSlab  []desc
+
+	// Completion scratch, cleared and refilled by every completion so
+	// steady-state completion processing allocates nothing: released
+	// collects the successor granules the enablement counters free,
+	// merged a completion group's coalesced runs, and succ the group's
+	// conflict-released successor ranges. Each is consumed before the
+	// call that filled it returns.
+	released, merged, succ granule.Set
 }
 
 // getDesc returns a recycled description, or a fresh one when the free

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -85,7 +86,7 @@ type async struct {
 
 	mgmtNS       atomic.Int64 // state-machine time of management cycles
 	idleNS       atomic.Int64 // worker time blocked on the empty ready buffer
-	lastDrain    atomic.Int64 // UnixNano of the last finished management cycle
+	lastDrain    atomic.Int64 // clock reading at the end of the last management cycle
 	inlineCycles atomic.Int64 // fallback cycles run on worker goroutines
 
 	// Management-side scratch, guarded by smMu: the refill buffer handed
@@ -155,11 +156,12 @@ func (m *async) Join() { <-m.loopDone }
 // workers find work immediately, and spawns the management goroutine.
 func (m *async) Start() {
 	m.smMu.Lock()
-	m0 := time.Now()
+	m0 := clock.Now()
 	m.sm.Start()
 	m.refillLocked()
-	m.mgmtNS.Add(int64(time.Since(m0)))
-	m.lastDrain.Store(time.Now().UnixNano())
+	m1 := clock.Now()
+	m.mgmtNS.Add(m1 - m0)
+	m.lastDrain.Store(m1)
 	m.smMu.Unlock()
 	go m.loop()
 }
@@ -208,7 +210,7 @@ func (m *async) cycleLocked() (alive, progressed bool) {
 			m.finishLocked()
 			return false, true
 		}
-		m0 := time.Now()
+		m0 := clock.Now()
 		drained := m.drainLocked()
 		if drained {
 			progressed = true
@@ -216,7 +218,7 @@ func (m *async) cycleLocked() (alive, progressed bool) {
 		if m.failed.Load() {
 			// A recovered completion-processing panic may have left the
 			// state machine inconsistent; do not touch it again.
-			m.mgmtNS.Add(int64(time.Since(m0)))
+			m.mgmtNS.Add(clock.Now() - m0)
 			m.finishLocked()
 			return false, true
 		}
@@ -225,7 +227,10 @@ func (m *async) cycleLocked() (alive, progressed bool) {
 			progressed = true
 		}
 		done := m.sm.Done()
-		m.mgmtNS.Add(int64(time.Since(m0)))
+		// m1 ends the cycle's management interval and is the drain
+		// watermark's touch: one reading for both.
+		m1 := clock.Now()
+		m.mgmtNS.Add(m1 - m0)
 		if done {
 			m.finishLocked()
 			return false, true
@@ -236,9 +241,9 @@ func (m *async) cycleLocked() (alive, progressed bool) {
 		// up empty — it may be the only source of new releases. One unit
 		// per iteration keeps the loop responsive to arriving completions.
 		if m.sm.HasDeferred() && (len(m.ready) > m.lowWater || !refilled) {
-			m1 := time.Now()
+			d0 := clock.Now()
 			_, _ = m.sm.DeferredMgmt()
-			m.mgmtNS.Add(int64(time.Since(m1)))
+			m.mgmtNS.Add(clock.Now() - d0)
 			continue
 		}
 
@@ -254,13 +259,13 @@ func (m *async) cycleLocked() (alive, progressed bool) {
 				m.finishLocked()
 				return false, true
 			}
-			m.lastDrain.Store(time.Now().UnixNano())
+			m.lastDrain.Store(m1)
 			return true, progressed
 		}
 
 		// Progress was made; go around again — more completions may have
 		// landed while we refilled.
-		m.lastDrain.Store(time.Now().UnixNano())
+		m.lastDrain.Store(m1)
 	}
 }
 
@@ -376,7 +381,7 @@ func (m *async) tryInlineCycle() {
 // async manager behaves like a coarse-grained locked manager instead of
 // letting workers spin behind a starved thread.
 func (m *async) helpIfStale() {
-	if time.Now().UnixNano()-m.lastDrain.Load() < int64(asyncDrainStale) {
+	if clock.Now()-m.lastDrain.Load() < int64(asyncDrainStale) {
 		return
 	}
 	m.tryInlineCycle()
@@ -412,15 +417,15 @@ func (m *async) Next(w int) (core.Task, bool) {
 		return m.vet(t, ok)
 	default:
 	}
-	i0 := time.Now()
+	i0 := clock.Now()
 	if m.rec != nil {
-		m.rec.Ring(w).Record(trace.KPark, m.rec.Now(), int32(w), 0, -1, 0, 0, 0)
+		m.rec.Ring(w).Record(trace.KPark, m.rec.At(i0), int32(w), 0, -1, 0, 0, 0)
 	}
 	t, ok := <-m.ready
-	d := time.Since(i0)
-	m.idleNS.Add(int64(d))
+	i1 := clock.Now()
+	m.idleNS.Add(i1 - i0)
 	if m.rec != nil {
-		m.rec.Ring(w).Record(trace.KUnpark, m.rec.Now(), int32(w), 0, -1, 0, 0, int64(d))
+		m.rec.Ring(w).Record(trace.KUnpark, m.rec.At(i1), int32(w), 0, -1, 0, 0, i1-i0)
 	}
 	return m.vet(t, ok)
 }

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/enable"
 	"repro/internal/granule"
@@ -123,9 +124,9 @@ func TestAsyncInlineFallback(t *testing.T) {
 		}
 		work := prog.Phases[task.Phase].Work
 		task.Run.Each(func(g granule.ID) { work(g) })
-		// Pretend the management goroutine has been descheduled since the
-		// epoch: the completion's watermark check must drain inline.
-		m.lastDrain.Store(1)
+		// Pretend the management goroutine has been descheduled for a
+		// whole watermark: the completion's check must drain inline.
+		m.lastDrain.Store(clock.Now() - int64(asyncDrainStale))
 		m.Complete(0, task)
 	}
 	m.Join()

@@ -206,43 +206,71 @@ func TestManagerDoneInvariant(t *testing.T) {
 	}
 }
 
+// raceProgram builds TestManagerRace's four-phase program over n granules
+// together with each phase's declared access footprint, so the declared
+// mappings can be checked against what the work functions touch.
+func raceProgram(t *testing.T, n int) (prog *core.Program, fps []enable.AccessFn, d []int64) {
+	t.Helper()
+	a := make([]int64, n)
+	b := make([]int64, n)
+	c := make([]int64, n)
+	d = make([]int64, n/2)
+	at := func(v string, g granule.ID) []enable.Effect { return []enable.Effect{{Var: v, Idx: int(g)}} }
+	fps = []enable.AccessFn{
+		func(g granule.ID) enable.Footprint { return enable.Footprint{Writes: at("a", g)} },
+		func(g granule.ID) enable.Footprint { return enable.Footprint{Reads: at("a", g), Writes: at("b", g)} },
+		func(g granule.ID) enable.Footprint { return enable.Footprint{Reads: at("b", g), Writes: at("c", g)} },
+		func(g granule.ID) enable.Footprint {
+			return enable.Footprint{Reads: append(at("c", 2*g), at("c", 2*g+1)...), Writes: at("d", g)}
+		},
+	}
+	prog, err := core.NewProgram(
+		&core.Phase{
+			Name: "fill", Granules: n,
+			Work:   func(g granule.ID) { a[g] = int64(g) },
+			Enable: enable.NewIdentity(),
+		},
+		&core.Phase{
+			Name: "square", Granules: n,
+			Work:   func(g granule.ID) { b[g] = a[g] * a[g] },
+			Enable: enable.NewIdentity(),
+		},
+		&core.Phase{
+			Name: "mix", Granules: n,
+			Work: func(g granule.ID) { c[g] = b[g] + 1 },
+			Enable: enable.NewReverse(func(r granule.ID) []granule.ID {
+				return []granule.ID{2 * r, 2*r + 1}
+			}),
+		},
+		&core.Phase{
+			Name: "gather", Granules: n / 2,
+			Work: func(g granule.ID) { d[g] = c[2*g] + c[2*g+1] },
+		},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog, fps, d
+}
+
 // TestManagerRace is the designated -race workout: >= 8 workers, small
 // deques, batches and ready-buffers to force constant stealing, flushing
 // and draining, run under every manager over every mapping kind that
-// exercises a distinct release path.
+// exercises a distinct release path. Every declared mapping is first
+// checked against the phases' footprints (enable.Verify, exhaustive, so
+// at a reduced size): a mapping that permits more overlap than the data
+// allows fails here instead of as an intermittent data race.
 func TestManagerRace(t *testing.T) {
+	small, fps, _ := raceProgram(t, 64)
+	for k := 0; k+1 < len(small.Phases); k++ {
+		p, q := small.Phases[k], small.Phases[k+1]
+		if err := enable.Verify(p.Enable, fps[k], p.Granules, fps[k+1], q.Granules); err != nil {
+			t.Fatalf("%s -> %s: %v", p.Name, q.Name, err)
+		}
+	}
 	for _, kind := range ManagerKinds() {
 		n := 2048
-		a := make([]int64, n)
-		b := make([]int64, n)
-		c := make([]int64, n)
-		d := make([]int64, n/2)
-		prog, err := core.NewProgram(
-			&core.Phase{
-				Name: "fill", Granules: n,
-				Work:   func(g granule.ID) { a[g] = int64(g) },
-				Enable: enable.NewIdentity(),
-			},
-			&core.Phase{
-				Name: "square", Granules: n,
-				Work:   func(g granule.ID) { b[g] = a[g] * a[g] },
-				Enable: enable.NewUniversal(),
-			},
-			&core.Phase{
-				Name: "mix", Granules: n,
-				Work: func(g granule.ID) { c[g] = b[g] + 1 },
-				Enable: enable.NewReverse(func(r granule.ID) []granule.ID {
-					return []granule.ID{2 * r, 2*r + 1}
-				}),
-			},
-			&core.Phase{
-				Name: "gather", Granules: n / 2,
-				Work: func(g granule.ID) { d[g] = c[2*g] + c[2*g+1] },
-			},
-		)
-		if err != nil {
-			t.Fatal(err)
-		}
+		prog, _, d := raceProgram(t, n)
 		if _, err := Run(prog, core.Options{
 			Grain: 4, Overlap: true, Elevate: true, Costs: core.DefaultCosts(),
 		}, Config{

@@ -30,6 +30,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/granule"
@@ -106,7 +107,8 @@ type Config struct {
 	// wall-clock nanoseconds. The run always keeps its core counters in a
 	// metric set (a private one when this is nil); a caller-provided set
 	// additionally turns on the fine-grained latency histograms, which
-	// cost one extra clock reading per dispatch.
+	// cost up to two monotonic clock readings per dispatch (one when the
+	// flight recorder already reads the dispatch boundary).
 	Metrics *telemetry.Set
 }
 
@@ -189,8 +191,8 @@ func RunContext(ctx context.Context, prog *core.Program, opt core.Options, cfg C
 	// The engine's task/compute accounting lives in a telemetry set either
 	// way — sharded per-worker counters contend less than the shared
 	// atomics they replace. A caller-provided set additionally enables the
-	// fine-grained latency histograms (one extra clock reading per
-	// dispatch) and is what the registry exposes over Prometheus/expvar.
+	// fine-grained latency histograms (extra clock readings per dispatch)
+	// and is what the registry exposes over Prometheus/expvar.
 	fine := cfg.Metrics != nil
 	met := cfg.Metrics
 	if met == nil {
@@ -223,8 +225,7 @@ func RunContext(ctx context.Context, prog *core.Program, opt core.Options, cfg C
 		rec.Emit(trace.KStart, rec.Now(), -1, 0, -1, 0, 0, 0)
 	}
 
-	start := time.Now()
-	e.start = start
+	e.start = clock.Now()
 	mgr.Start()
 	// Lifecycle metrics mirror the simulator's dump shape: one job,
 	// admitted immediately (the plain executive has no admission queue).
@@ -284,7 +285,7 @@ func RunContext(ctx context.Context, prog *core.Program, opt core.Options, cfg C
 		return nil, err
 	}
 
-	wall := time.Since(start)
+	wall := clock.Since(e.start)
 	if rec := cfg.Trace; rec != nil {
 		rec.Emit(trace.KFinish, rec.Now(), -1, 0, -1, 0, 0, 0)
 	}
@@ -325,16 +326,17 @@ type engine struct {
 	rec  *trace.Recorder // flight recorder (nil = tracing off)
 
 	// plan is the compiled fault-injection campaign (nil = injection
-	// off); start anchors Rule.After wall-clock offsets and live is the
-	// WorkerCrash floor — the last live worker refuses to crash.
+	// off); start is the run's clock reading at Start, anchoring the
+	// report's Wall and Rule.After offsets, and live is the WorkerCrash
+	// floor — the last live worker refuses to crash.
 	plan  *fault.Plan
-	start time.Time
+	start int64
 	live  atomic.Int64
 
 	// met holds the run's counters (always non-nil: a private registry
 	// when the caller configured none) on padded per-worker shards; fine
-	// additionally enables the latency histograms, which need an extra
-	// clock reading per dispatch.
+	// additionally enables the latency histograms, which need a clock
+	// reading before every Next call.
 	met  *telemetry.Set
 	fine bool
 
@@ -379,23 +381,29 @@ func (e *engine) worker(w int) {
 		ring = e.rec.Ring(w)
 	}
 	for {
-		var a0 time.Time
+		var a0 int64
 		if e.fine {
-			a0 = time.Now()
+			a0 = clock.Now()
 		}
 		task, ok := e.mgr.Next(w)
 		if !ok {
 			return
 		}
+		// a1 is the dispatch boundary: it ends the dispatch-wait interval
+		// and stamps the KDispatch record, one reading for both.
+		var a1 int64
+		if e.fine || ring != nil {
+			a1 = clock.Now()
+		}
 		if e.fine {
 			// On the real backends the dispatch wait is the whole Next call
 			// — queue pop, lock wait, steal sweep, park — the honest answer
 			// to "how long did this worker wait for its next task".
-			e.met.DispatchWait.Observe(int64(time.Since(a0)))
+			e.met.DispatchWait.Observe(a1 - a0)
 		}
 		e.met.Dispatches.Inc(w)
 		if ring != nil {
-			ring.Record(trace.KDispatch, e.rec.Now(), int32(w), 0,
+			ring.Record(trace.KDispatch, e.rec.At(a1), int32(w), 0,
 				int32(task.Phase), uint32(task.Run.Lo), uint32(task.Run.Hi), 0)
 		}
 		work := e.prog.Phases[task.Phase].Work
@@ -409,12 +417,14 @@ func (e *engine) worker(w int) {
 			}
 		}
 
-		c0 := time.Now()
+		c0 := clock.Now()
 		workErr := e.execute(work, task)
 		if workErr == nil && tf.factor > 1 {
-			stretchCompute(time.Since(c0), tf.factor)
+			stretchCompute(clock.Since(c0), tf.factor)
 		}
-		dur := time.Since(c0)
+		// c1 ends the compute interval and stamps the KComplete record.
+		c1 := clock.Now()
+		dur := c1 - c0
 
 		if workErr != nil {
 			e.mgr.Abort(workErr)
@@ -422,15 +432,18 @@ func (e *engine) worker(w int) {
 		}
 		if e.plan != nil {
 			e.beforeComplete(w, &tf)
+			// A withheld or delayed completion is stamped when it is
+			// finally submitted, after the fault records it caused.
+			c1 = clock.Now()
 		}
-		e.met.ComputeTime.Add(w, int64(dur))
+		e.met.ComputeTime.Add(w, dur)
 		e.met.Completions.Inc(w)
 		// Recorded BEFORE the completion is submitted to management, so
 		// any dispatch it enables carries a larger Seq (the causal edge
 		// replay and diff rely on).
 		if ring != nil {
-			ring.Record(trace.KComplete, e.rec.Now(), int32(w), 0,
-				int32(task.Phase), uint32(task.Run.Lo), uint32(task.Run.Hi), int64(dur))
+			ring.Record(trace.KComplete, e.rec.At(c1), int32(w), 0,
+				int32(task.Phase), uint32(task.Run.Lo), uint32(task.Run.Hi), dur)
 		}
 		e.mgr.Complete(w, task)
 		if e.plan != nil && e.maybeCrash(w) {

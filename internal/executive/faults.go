@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/granule"
@@ -59,9 +60,9 @@ func (m *serial) Retire(w int) {
 func (m *sharded) Retire(w int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m0 := time.Now()
+	m0 := clock.Now()
 	m.flushLocked(w)
-	m.mgmt += time.Since(m0)
+	m.mgmt += clock.Since(m0)
 	m.workers--
 	m.cond.Broadcast()
 }
@@ -80,9 +81,9 @@ type taskFaults struct {
 	err    error // injected failure (GrainError)
 }
 
-// sinceStart is the wall-clock nanoseconds since the run started — the
+// sinceStart is the nanoseconds since the run started — the
 // real-backend reading of a Rule's After field.
-func (e *engine) sinceStart() int64 { return time.Since(e.start).Nanoseconds() }
+func (e *engine) sinceStart() int64 { return clock.Now() - e.start }
 
 // noteFault flight-records and counts one injected fault firing.
 func (e *engine) noteFault(w int, k fault.Kind) {

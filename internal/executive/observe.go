@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/telemetry"
 )
 
@@ -128,7 +129,7 @@ func WatchCancel(ctx context.Context, abort func(error)) (stop func()) {
 func (e *engine) liveSnapshot(workers int) Snapshot {
 	e.syncTimes()
 	sn := Snapshot{
-		Elapsed: time.Since(e.start),
+		Elapsed: clock.Since(e.start),
 		Tasks:   e.met.Completions.Value(),
 		Compute: time.Duration(e.met.ComputeTime.Value()),
 		Mgmt:    e.mgr.Mgmt(),

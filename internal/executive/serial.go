@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/trace"
 )
@@ -38,9 +39,9 @@ func newSerial(sm StateMachine, cfg Config) *serial {
 func (m *serial) Start() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m0 := time.Now()
+	m0 := clock.Now()
 	m.sm.Start()
-	m.mgmt += time.Since(m0)
+	m.mgmt += clock.Since(m0)
 }
 
 // Next asks the serial executive for work, absorbing deferred management
@@ -63,9 +64,9 @@ func (m *serial) next(w int, park bool) (core.Task, bool) {
 		if m.err != nil {
 			return core.Task{}, false
 		}
-		m0 := time.Now()
+		m0 := clock.Now()
 		task, _, ok := m.sm.NextTask()
-		m.mgmt += time.Since(m0)
+		m.mgmt += clock.Since(m0)
 
 		if ok {
 			return task, true
@@ -78,9 +79,9 @@ func (m *serial) next(w int, park bool) (core.Task, bool) {
 		// Idle executive moment: absorb deferred successor-splitting
 		// management tasks before parking.
 		if m.sm.HasDeferred() {
-			m1 := time.Now()
+			m1 := clock.Now()
 			_, _ = m.sm.DeferredMgmt()
-			m.mgmt += time.Since(m1)
+			m.mgmt += clock.Since(m1)
 			m.cond.Broadcast()
 			continue
 		}
@@ -100,17 +101,17 @@ func (m *serial) next(w int, park bool) (core.Task, bool) {
 			m.cond.Broadcast()
 			return core.Task{}, false
 		}
-		i0 := time.Now()
+		i0 := clock.Now()
 		if m.rec != nil {
-			m.rec.Ring(w).Record(trace.KPark, m.rec.Now(), int32(w), 0, -1, 0, 0, 0)
+			m.rec.Ring(w).Record(trace.KPark, m.rec.At(i0), int32(w), 0, -1, 0, 0, 0)
 		}
 		m.waiting++
 		m.cond.Wait()
 		m.waiting--
-		d := time.Since(i0)
-		m.idle += d
+		i1 := clock.Now()
+		m.idle += time.Duration(i1 - i0)
 		if m.rec != nil {
-			m.rec.Ring(w).Record(trace.KUnpark, m.rec.Now(), int32(w), 0, -1, 0, 0, int64(d))
+			m.rec.Ring(w).Record(trace.KUnpark, m.rec.At(i1), int32(w), 0, -1, 0, 0, i1-i0)
 		}
 	}
 }
@@ -127,7 +128,7 @@ func (m *serial) Complete(w int, t core.Task) bool {
 	if m.err != nil {
 		return false
 	}
-	m1 := time.Now()
+	m1 := clock.Now()
 	func() {
 		defer func() {
 			if r := recover(); r != nil && m.err == nil {
@@ -137,7 +138,7 @@ func (m *serial) Complete(w int, t core.Task) bool {
 		}()
 		m.sm.Complete(t)
 	}()
-	m.mgmt += time.Since(m1)
+	m.mgmt += clock.Since(m1)
 	m.cond.Broadcast()
 	return true
 }

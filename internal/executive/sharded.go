@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -47,7 +48,7 @@ type sharded struct {
 	workers int
 	rec     *trace.Recorder // flight recorder (nil = tracing off)
 	met     *telemetry.Set  // steal/retune counters (nil = metrics off)
-	cap     int // deque refill batch size, guarded by mu (the tuner moves it)
+	cap     int             // deque refill batch size, guarded by mu (the tuner moves it)
 
 	// batch is the completion batch size. It is read lock-free on the
 	// per-task Complete path and rewritten under mu by the tuner, hence
@@ -77,7 +78,7 @@ type sharded struct {
 	lockNS     time.Duration
 	hoardIdle  time.Duration // parked time that began with peer deques nonempty
 	lockStarve time.Duration // parked time that began with the mgmt path occupied
-	epochStart time.Time
+	epochStart int64         // clock reading at the current epoch's start
 	epochLock  time.Duration // lockNS snapshot at epoch start
 	epochHI    time.Duration // hoardIdle snapshot at epoch start
 	epochLS    time.Duration // lockStarve snapshot at epoch start
@@ -148,10 +149,11 @@ func newSharded(sm StateMachine, cfg Config) *sharded {
 func (m *sharded) Start() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m0 := time.Now()
+	m0 := clock.Now()
 	m.sm.Start()
-	m.mgmt += time.Since(m0)
-	m.epochStart = time.Now()
+	m1 := clock.Now()
+	m.mgmt += time.Duration(m1 - m0)
+	m.epochStart = m1
 }
 
 func (m *sharded) Next(w int) (core.Task, bool) {
@@ -200,12 +202,12 @@ func (m *sharded) steal(w int) (core.Task, bool) {
 	if n < 2 {
 		return core.Task{}, false
 	}
-	t0 := time.Now()
-	defer func() { m.stealNS.Add(int64(time.Since(t0))) }()
+	t0 := clock.Now()
+	defer func() { m.stealNS.Add(clock.Now() - t0) }()
 	var ring *trace.Ring
 	if m.rec != nil {
 		ring = m.rec.Ring(w)
-		ring.Record(trace.KStealAttempt, m.rec.Now(), int32(w), 0, -1, 0, 0, 0)
+		ring.Record(trace.KStealAttempt, m.rec.At(t0), int32(w), 0, -1, 0, 0, 0)
 	}
 	if m.met != nil {
 		m.met.StealAttempts.Inc(w)
@@ -275,18 +277,19 @@ func (m *sharded) refill(w int, park bool) (core.Task, bool) {
 		if m.err != nil {
 			return core.Task{}, false
 		}
-		m0 := time.Now()
+		m0 := clock.Now()
 		m.flushLocked(w)
 		if m.err != nil {
 			// A recovered completion-processing panic may have left the
 			// state machine inconsistent; do not touch it again.
-			m.mgmt += time.Since(m0)
+			m.mgmt += clock.Since(m0)
 			return core.Task{}, false
 		}
 		ts, _ := m.sm.NextTasks(m.shards[w].refillBuf[:0], m.cap)
 		m.shards[w].refillBuf = ts[:0]
-		m.mgmt += time.Since(m0)
-		m.retuneLocked()
+		m1 := clock.Now()
+		m.mgmt += time.Duration(m1 - m0)
+		m.retuneLocked(m1)
 		if len(ts) > 0 {
 			sh := &m.shards[w]
 			// Reverse push: the owner's popBottom then yields ts[1],
@@ -316,9 +319,9 @@ func (m *sharded) refill(w int, park bool) (core.Task, bool) {
 		// Idle executive moment: absorb deferred management (successor
 		// splitting, incremental composite-map builds) before parking.
 		if m.sm.HasDeferred() {
-			m1 := time.Now()
+			d0 := clock.Now()
 			_, _ = m.sm.DeferredMgmt()
-			m.mgmt += time.Since(m1)
+			m.mgmt += clock.Since(d0)
 			continue
 		}
 
@@ -370,17 +373,18 @@ func (m *sharded) refill(w int, park bool) (core.Task, bool) {
 			}
 			lockBusyAtPark = m.visitors.Load()-int32(m.waiting) > 1
 		}
-		i0 := time.Now()
+		i0 := clock.Now()
 		if m.rec != nil {
-			m.rec.Ring(w).Record(trace.KPark, m.rec.Now(), int32(w), 0, -1, 0, 0, 0)
+			m.rec.Ring(w).Record(trace.KPark, m.rec.At(i0), int32(w), 0, -1, 0, 0, 0)
 		}
 		m.waiting++
 		m.cond.Wait()
 		m.waiting--
-		d := time.Since(i0)
+		i1 := clock.Now()
+		d := time.Duration(i1 - i0)
 		m.idle += d
 		if m.rec != nil {
-			m.rec.Ring(w).Record(trace.KUnpark, m.rec.Now(), int32(w), 0, -1, 0, 0, int64(d))
+			m.rec.Ring(w).Record(trace.KUnpark, m.rec.At(i1), int32(w), 0, -1, 0, 0, int64(d))
 		}
 		if hoardedAtPark {
 			m.hoardIdle += d
@@ -403,20 +407,21 @@ func (m *sharded) lockMeasured() {
 		m.mu.Lock()
 		return
 	}
-	l0 := time.Now()
+	l0 := clock.Now()
 	m.mu.Lock()
-	m.lockNS += time.Since(l0)
+	m.lockNS += clock.Since(l0)
 }
 
 // retuneLocked feeds the adaptive controller one epoch when enough wall
 // time has passed since the last observation: the lock-acquisition wait
 // is the amortizable overhead, and parked time that began with peer
-// deques nonempty the hoarded-idle (starvation) share. Caller holds m.mu.
-func (m *sharded) retuneLocked() {
+// deques nonempty the hoarded-idle (starvation) share. now is the clock
+// reading that ended the caller's management interval. Caller holds m.mu.
+func (m *sharded) retuneLocked(now int64) {
 	if m.tuner == nil {
 		return
 	}
-	elapsed := time.Since(m.epochStart)
+	elapsed := time.Duration(now - m.epochStart)
 	if elapsed < adaptiveEpoch {
 		return
 	}
@@ -435,7 +440,7 @@ func (m *sharded) retuneLocked() {
 			m.met.BatchSize.Set(int64(cap))
 		}
 	}
-	m.epochStart = time.Now()
+	m.epochStart = now
 	m.epochLock = m.lockNS
 	m.epochHI = m.hoardIdle
 	m.epochLS = m.lockStarve
@@ -467,9 +472,9 @@ func (m *sharded) Complete(w int, t core.Task) bool {
 		defer m.visitors.Add(-1)
 	}
 	m.lockMeasured()
-	m0 := time.Now()
+	m0 := clock.Now()
 	m.flushLocked(w)
-	m.mgmt += time.Since(m0)
+	m.mgmt += clock.Since(m0)
 	m.mu.Unlock()
 	return true
 }
@@ -558,9 +563,9 @@ func (m *sharded) Flush(w int) bool {
 	}
 	m.lockMeasured()
 	defer m.mu.Unlock()
-	m0 := time.Now()
+	m0 := clock.Now()
 	m.flushLocked(w)
-	m.mgmt += time.Since(m0)
+	m.mgmt += clock.Since(m0)
 	return true
 }
 

@@ -39,17 +39,18 @@ func (s *Set) Len() int {
 // Empty reports whether the set contains no granules.
 func (s *Set) Empty() bool { return len(s.runs) == 0 }
 
-// Runs returns the coalesced ranges of the set in ascending order. The
-// returned slice is a copy and may be retained by the caller.
-func (s *Set) Runs() []Range {
-	out := make([]Range, len(s.runs))
-	copy(out, s.runs)
-	return out
-}
-
 // NumRuns reports the fragmentation of the set: the number of maximal
 // contiguous runs it is stored as.
 func (s *Set) NumRuns() int { return len(s.runs) }
+
+// Run returns the i-th coalesced range in ascending order, 0 <= i <
+// NumRuns(). Walking the runs by index reads them in place, without
+// copying or allocating.
+func (s *Set) Run(i int) Range { return s.runs[i] }
+
+// Clear empties the set but keeps its backing array, so a reused scratch
+// set grows back to its high-water mark without allocating.
+func (s *Set) Clear() { s.runs = s.runs[:0] }
 
 // Contains reports whether id is in the set.
 func (s *Set) Contains(id ID) bool {

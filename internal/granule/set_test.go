@@ -158,6 +158,35 @@ func TestSetCloneEqual(t *testing.T) {
 	}
 }
 
+// TestSetRunClear: Run walks the coalesced ranges in ascending order, and
+// a cleared set refills to its old size without allocating.
+func TestSetRunClear(t *testing.T) {
+	runs := []Range{R(0, 4), R(9, 12), R(20, 21)}
+	s := setOf(t, runs[2], runs[0], R(10, 12), R(9, 10), runs[1])
+	if s.NumRuns() != len(runs) {
+		t.Fatalf("NumRuns %d, want %d: %v", s.NumRuns(), len(runs), s)
+	}
+	for i := range runs {
+		if s.Run(i) != runs[i] {
+			t.Fatalf("Run(%d) = %v, want %v", i, s.Run(i), runs[i])
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		s.Clear()
+		if !s.Empty() {
+			t.Fatal("cleared set not empty")
+		}
+		for _, r := range runs {
+			s.AddRange(r)
+		}
+	}); allocs != 0 {
+		t.Fatalf("clear and refill: %v allocs, want 0", allocs)
+	}
+	if err := s.check(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSetString(t *testing.T) {
 	s := setOf(t, R(0, 5), R(9, 10))
 	if got := s.String(); got != "{[0,5) [9,10)}" {

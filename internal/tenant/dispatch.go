@@ -24,11 +24,16 @@ import (
 
 // homeCache is a worker-local snapshot of the home assignment, refreshed
 // only when the pool's epoch changes, so the hot path (home job has work)
-// costs one atomic load instead of a pool-lock acquisition per task.
+// costs one atomic load instead of a pool-lock acquisition per task. The
+// snapshot can be stale (or nil) around a job's activation or retirement;
+// sweep re-checks the live assignment before counting a dispatch as
+// backfill. plan is the worker's backfill-order scratch, reused by every
+// backfillPlan call so a rundown sweep allocates nothing.
 type homeCache struct {
 	epoch uint64
 	home  *Job
 	valid bool
+	plan  []*Job
 }
 
 // home returns worker w's current home job (nil when no job is active).
@@ -50,6 +55,12 @@ func (p *Pool) home(w int, c *homeCache) *Job {
 // nothing was dispatchable anywhere at sweep time. The returned driver
 // is the one the task was taken from — the worker completes to it, even
 // if a retry swaps the job's current driver in the meantime.
+//
+// A candidate's dispatch is backfill only if the candidate is not w's
+// home job, re-checked under p.mu: the cached home the plan was built
+// from may be nil or stale (a single-job pool's worker that cached "no
+// home" before the job activated would otherwise count the job's own
+// work as backfill and draw down its credit).
 func (p *Pool) sweep(w int, c *homeCache) (j *Job, m executive.PoolDriver, t core.Task, backfill, ok bool) {
 	home := p.home(w, c)
 	if home != nil {
@@ -60,28 +71,33 @@ func (p *Pool) sweep(w int, c *homeCache) (j *Job, m executive.PoolDriver, t cor
 		}
 		p.checkFinished(home)
 	}
-	for _, cand := range p.backfillPlan(home) {
+	c.plan = p.backfillPlan(home, c.plan[:0])
+	for _, cand := range c.plan {
 		cm := cand.driver()
 		if t, ok := cm.TryNext(w); ok {
 			p.mu.Lock()
-			cand.deficit -= int64(t.Run.Len())
+			backfill = cand != p.homes[w]
+			if backfill {
+				cand.deficit -= int64(t.Run.Len())
+			}
 			p.mu.Unlock()
 			p.gen.Add(1)
-			return cand, cm, t, true, true
+			return cand, cm, t, backfill, true
 		}
 		p.checkFinished(cand)
 	}
 	return nil, nil, core.Task{}, false, false
 }
 
-// backfillPlan snapshots the backfill candidates for a worker homed on
-// home, ordered by the dispatch policy. Replenishes every active job's
-// deficit-round-robin credit when the candidates are collectively
-// exhausted.
-func (p *Pool) backfillPlan(home *Job) []*Job {
+// backfillPlan appends the backfill candidates for a worker homed on home
+// to cands, ordered by the dispatch policy, and returns it. Replenishes
+// every active job's deficit-round-robin credit when the candidates are
+// collectively exhausted. The order is built by insertion into the
+// caller's reused slice — the active set is small — so the sweep
+// allocates and sorts nothing under p.mu.
+func (p *Pool) backfillPlan(home *Job, cands []*Job) []*Job {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	cands := make([]*Job, 0, len(p.active))
 	credit := false
 	for _, j := range p.active {
 		if j == home {
@@ -93,23 +109,32 @@ func (p *Pool) backfillPlan(home *Job) []*Job {
 		}
 	}
 	if len(cands) == 0 {
-		return nil
+		return cands
 	}
 	if !credit {
 		for _, j := range p.active {
 			j.deficit += int64(j.cfg.Weight) * drrQuantum
 		}
 	}
-	sort.SliceStable(cands, func(a, b int) bool {
-		if cands[a].cfg.Priority != cands[b].cfg.Priority {
-			return cands[a].cfg.Priority > cands[b].cfg.Priority
+	for i := 1; i < len(cands); i++ {
+		for k := i; k > 0 && backfillBefore(cands[k], cands[k-1]); k-- {
+			cands[k], cands[k-1] = cands[k-1], cands[k]
 		}
-		if cands[a].deficit != cands[b].deficit {
-			return cands[a].deficit > cands[b].deficit
-		}
-		return cands[a].idx < cands[b].idx
-	})
+	}
 	return cands
+}
+
+// backfillBefore is the backfill order: higher priority first, then more
+// deficit-round-robin credit, then submit order. Caller holds p.mu (it
+// reads deficits).
+func backfillBefore(a, b *Job) bool {
+	if a.cfg.Priority != b.cfg.Priority {
+		return a.cfg.Priority > b.cfg.Priority
+	}
+	if a.deficit != b.deficit {
+		return a.deficit > b.deficit
+	}
+	return a.idx < b.idx
 }
 
 // rebalanceLocked reassigns worker homes over the active jobs by weighted

@@ -42,8 +42,9 @@ type Job struct {
 	retriesLeft int
 	retrying    atomic.Bool
 	mgmtPrior   atomic.Int64
-	// lastTouch is the UnixNano of the job's last dispatch or completion
-	// submission — the watchdog's wedge signal.
+	// lastTouch is the clock reading (internal/clock) of the job's last
+	// dispatch or completion submission — the watchdog's wedge signal,
+	// immune to wall-clock steps.
 	lastTouch atomic.Int64
 	// deadline is the job's deadline timer (nil without one), stopped
 	// when the job finishes. Guarded by pool.mu.

@@ -3,6 +3,7 @@ package tenant
 import (
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/executive"
 	"repro/internal/telemetry"
 )
@@ -54,7 +55,7 @@ func (p *Pool) snapshot() Snapshot {
 	queued := len(p.waitq)
 	p.mu.Unlock()
 	sn := Snapshot{
-		Elapsed:         time.Since(p.start),
+		Elapsed:         clock.Since(p.start),
 		Jobs:            len(jobs),
 		ActiveJobs:      active,
 		Queued:          queued,

@@ -142,6 +142,104 @@ func TestPoolConformance(t *testing.T) {
 	}
 }
 
+// TestPoolSingleJobNeverBackfills: a one-job pool has no foreign work,
+// so none of its dispatches is backfill — however the workers' cached
+// home assignments race the job's activation (a worker that cached "no
+// home" before Submit finds the job only as a backfill candidate). Many
+// short runs per manager repeat the activation window the race needs.
+func TestPoolSingleJobNeverBackfills(t *testing.T) {
+	opt := core.Options{Grain: 4, Overlap: true, Costs: core.DefaultCosts()}
+	for _, kind := range executive.ManagerKinds() {
+		for run := 0; run < 100; run++ {
+			prog, a, b, c := buildCopyChain(t, 256)
+			rep, pr := runSingleJobPool(t, prog, opt, Config{
+				Workers: 8, Manager: kind, DequeCap: 4, Batch: 2,
+			})
+			checkCopyChain(t, a, b, c)
+			if pr.BackfillTasks != 0 || pr.BackfillCompute != 0 {
+				t.Fatalf("%v run %d: single-job pool recorded %d backfill tasks (%v)",
+					kind, run, pr.BackfillTasks, pr.BackfillCompute)
+			}
+			if rep.Tasks != pr.Tasks {
+				t.Fatalf("%v run %d: job ran %d tasks, pool %d", kind, run, rep.Tasks, pr.Tasks)
+			}
+		}
+	}
+}
+
+// TestPoolTraceStampsShareReadings pins the clock rule at pool level: a
+// task's KDispatch and KBackfill share the dispatch reading, its compute
+// span [Time-Arg, Time) starts no earlier than its dispatch, each
+// KUnpark lands exactly its idle span after the worker's KPark, and the
+// KComplete spans sum to the pool report's Compute.
+func TestPoolTraceStampsShareReadings(t *testing.T) {
+	rec := trace.NewRecorder(trace.Meta{}, 4)
+	p, err := NewPool(Config{Workers: 4, Manager: executive.ShardedManager, DequeCap: 4, Batch: 2, Trace: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := core.Options{Grain: 2, Overlap: true, Costs: core.DefaultCosts()}
+	progA, aA, bA, cA := buildCopyChain(t, 1024)
+	progB, aB, bB, cB := buildCopyChain(t, 512)
+	jobA, err := p.Submit(progA, opt, JobConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobB, err := p.Submit(progB, opt, JobConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range []*Job{jobA, jobB} {
+		if _, err := j.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep, err := p.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkCopyChain(t, aA, bA, cA)
+	checkCopyChain(t, aB, bB, cB)
+
+	type key struct {
+		proc, job, phase int32
+		lo               uint32
+	}
+	dispatched := map[key]int64{}
+	parkedAt := map[int32]int64{}
+	var busy int64
+	for _, e := range rec.Take().Events {
+		k := key{e.Proc, e.Job, e.Phase, e.Lo}
+		switch e.Kind {
+		case trace.KDispatch:
+			dispatched[k] = e.Time
+		case trace.KBackfill:
+			if d, ok := dispatched[k]; !ok || d != e.Time {
+				t.Fatalf("backfill stamp %v does not share its dispatch reading (%d, found %v)", e, d, ok)
+			}
+		case trace.KComplete:
+			d, ok := dispatched[k]
+			if !ok {
+				t.Fatalf("completion without a dispatch: %v", e)
+			}
+			if e.Time-e.Arg < d {
+				t.Fatalf("compute span starts at %d, before its dispatch at %d: %v", e.Time-e.Arg, d, e)
+			}
+			busy += e.Arg
+		case trace.KPark:
+			parkedAt[e.Proc] = e.Time
+		case trace.KUnpark:
+			if pt, ok := parkedAt[e.Proc]; !ok || e.Time-pt != e.Arg {
+				t.Fatalf("unpark %v: park at %d (found %v), span %d != idle %d", e, pt, ok, e.Time-pt, e.Arg)
+			}
+			delete(parkedAt, e.Proc)
+		}
+	}
+	if time.Duration(busy) != rep.Compute {
+		t.Fatalf("KComplete spans sum to %v, pool Compute is %v", time.Duration(busy), rep.Compute)
+	}
+}
+
 // TestPoolTwoJobsRace is the -race workout the acceptance criteria call
 // for: >= 2 concurrent jobs on a shared pool under the sharded manager
 // with small deques and batches (constant stealing, flushing, and

@@ -58,7 +58,7 @@ func (p *Pool) report() *Report {
 		Workers:         p.cfg.Workers,
 		Jobs:            len(p.jobs),
 		Stalled:         p.stalled,
-		Wall:            p.end.Sub(p.start),
+		Wall:            time.Duration(p.end - p.start),
 		Idle:            time.Duration(p.idleNS.Load()),
 		BackfillTasks:   p.backfillTasks.Load(),
 		BackfillCompute: time.Duration(p.backfillCompute.Load()),

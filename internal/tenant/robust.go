@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/executive"
 	"repro/internal/fault"
@@ -119,7 +120,7 @@ func (p *Pool) noteFault(w, ji int, k fault.Kind) {
 // can fail the wedged job — the injected hang the stall machinery exists
 // to detect. Only called with a non-nil plan.
 func (p *Pool) injectTask(w int, j *Job, task core.Task, work *core.WorkFn, tf *taskFaults) {
-	at := time.Since(p.start).Nanoseconds()
+	at := clock.Now() - p.start
 	tf.factor = 1
 	if _, f, ok := p.plan.Worker(w, at, fault.WorkerSlow); ok {
 		p.noteFault(w, j.idx, fault.WorkerSlow)
@@ -171,7 +172,7 @@ func (p *Pool) holdCompletion(w int, j *Job, tf *taskFaults) {
 	if tf.wedge {
 		<-p.plan.Release()
 	}
-	if d, ok := p.plan.Mgmt(j.idx, time.Since(p.start).Nanoseconds()); ok {
+	if d, ok := p.plan.Mgmt(j.idx, clock.Now()-p.start); ok {
 		p.noteFault(w, j.idx, fault.MgmtDelay)
 		fault.Sleep(d)
 	}
@@ -364,7 +365,7 @@ func (p *Pool) watchdog(timeout time.Duration) {
 		// nothing and parks again.
 		p.cond.Broadcast()
 		p.mu.Unlock()
-		now := time.Now().UnixNano()
+		now := clock.Now()
 		for _, j := range jobs {
 			if j.finished.Load() || j.retrying.Load() {
 				continue

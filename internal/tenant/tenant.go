@@ -31,6 +31,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/executive"
 	"repro/internal/fault"
@@ -188,8 +189,8 @@ type Pool struct {
 	nWaiting atomic.Int32
 
 	wg    sync.WaitGroup
-	start time.Time
-	end   time.Time // set by Close after the workers join
+	start int64 // clock reading at NewPool
+	end   int64 // clock reading set by Close after the workers join
 
 	sampler  *executive.Sampler // non-nil when an Observer samples the pool
 	obsFinal atomic.Bool        // Final snapshot emitted (first Close wins)
@@ -234,7 +235,7 @@ func NewPool(cfg Config) (*Pool, error) {
 	p := &Pool{
 		cfg:   cfg,
 		homes: make([]*Job, cfg.Workers),
-		start: time.Now(),
+		start: clock.Now(),
 		met:   cfg.Metrics,
 	}
 	p.cond = sync.NewCond(&p.mu)
@@ -394,7 +395,7 @@ func (p *Pool) activateLocked(j *Job) {
 		}
 	}
 	j.driver().Start()
-	j.lastTouch.Store(time.Now().UnixNano())
+	j.lastTouch.Store(clock.Now())
 	p.active = append(p.active, j)
 	if p.met != nil {
 		p.met.ActiveJobs.Set(int64(len(p.active)))
@@ -420,7 +421,7 @@ func (p *Pool) Close() (*Report, error) {
 		p.plan.ReleaseAll()
 		p.wg.Wait()
 		p.stopWatchdog()
-		p.end = time.Now()
+		p.end = clock.Now()
 
 		for _, j := range p.jobs {
 			if j.err != nil {
@@ -530,17 +531,21 @@ func (p *Pool) worker(ctx context.Context, w int) {
 // dropped at the aborted manager's gate). Panics in user work fail the
 // job, not the pool; a failed attempt with retries left restarts.
 func (p *Pool) runTask(w int, j *Job, m executive.PoolDriver, task core.Task, backfill bool) {
-	j.lastTouch.Store(time.Now().UnixNano())
+	// t0 is the dispatch boundary: the watchdog's touch and the KDispatch
+	// and KBackfill stamps share it.
+	t0 := clock.Now()
+	j.lastTouch.Store(t0)
 	if p.met != nil {
 		p.met.Dispatches.Inc(w)
 	}
+	rec := p.cfg.Trace
 	var ring *trace.Ring
-	if rec := p.cfg.Trace; rec != nil {
+	if rec != nil {
 		ring = rec.Ring(w)
-		ring.Record(trace.KDispatch, rec.Now(), int32(w), int32(j.idx),
+		ring.Record(trace.KDispatch, rec.At(t0), int32(w), int32(j.idx),
 			int32(task.Phase), uint32(task.Run.Lo), uint32(task.Run.Hi), 0)
 		if backfill {
-			ring.Record(trace.KBackfill, rec.Now(), int32(w), int32(j.idx),
+			ring.Record(trace.KBackfill, rec.At(t0), int32(w), int32(j.idx),
 				int32(task.Phase), uint32(task.Run.Lo), uint32(task.Run.Hi), 0)
 		}
 	}
@@ -549,35 +554,38 @@ func (p *Pool) runTask(w int, j *Job, m executive.PoolDriver, task core.Task, ba
 	if p.plan != nil {
 		p.injectTask(w, j, task, &work, &tf)
 	}
-	c0 := time.Now()
+	c0 := clock.Now()
 	err := tf.err
 	if err == nil {
 		err = execTask(work, task)
 		if err == nil && tf.factor > 1 {
-			stretchCompute(time.Since(c0), tf.factor)
+			stretchCompute(clock.Since(c0), tf.factor)
 		}
 	}
-	dur := time.Since(c0)
+	// c1 ends the compute interval; the KComplete stamp and the
+	// watchdog's completion touch share it.
+	c1 := clock.Now()
+	dur := c1 - c0
 
 	if err != nil {
 		m.Abort(err)
 		p.failJob(j, m, err, true)
 		return
 	}
-	j.compute.Add(int64(dur))
+	j.compute.Add(dur)
 	j.tasks.Add(1)
 	if p.met != nil {
-		p.met.ComputeTime.Add(w, int64(dur))
+		p.met.ComputeTime.Add(w, dur)
 		p.met.Completions.Inc(w)
 	}
 	if backfill {
 		j.backfillTasks.Add(1)
-		j.backfillCompute.Add(int64(dur))
+		j.backfillCompute.Add(dur)
 		p.backfillTasks.Add(1)
-		p.backfillCompute.Add(int64(dur))
+		p.backfillCompute.Add(dur)
 		if p.met != nil {
 			p.met.Backfill.Inc(w)
-			p.met.BackfillTime.Add(w, int64(dur))
+			p.met.BackfillTime.Add(w, dur)
 		}
 		n := int64(task.Run.Len())
 		for {
@@ -589,15 +597,18 @@ func (p *Pool) runTask(w int, j *Job, m executive.PoolDriver, task core.Task, ba
 	}
 	if p.plan != nil {
 		p.holdCompletion(w, j, &tf)
+		// A withheld or delayed completion is stamped and touched when
+		// it is finally submitted.
+		c1 = clock.Now()
 	}
 	// Recorded BEFORE the completion is submitted to management, so any
 	// dispatch it enables carries a larger Seq (the causal edge replay
 	// and diff rely on).
 	if ring != nil {
-		ring.Record(trace.KComplete, p.cfg.Trace.Now(), int32(w), int32(j.idx),
-			int32(task.Phase), uint32(task.Run.Lo), uint32(task.Run.Hi), int64(dur))
+		ring.Record(trace.KComplete, rec.At(c1), int32(w), int32(j.idx),
+			int32(task.Phase), uint32(task.Run.Lo), uint32(task.Run.Hi), dur)
 	}
-	j.lastTouch.Store(time.Now().UnixNano())
+	j.lastTouch.Store(c1)
 	// A completion that only joined the worker's local batch cannot have
 	// released successor work or finished the job, so parked workers are
 	// only woken when the batch was actually applied — without this,
@@ -693,19 +704,20 @@ func (p *Pool) park(w int, g0 uint64) bool {
 		p.cond.Broadcast()
 		return false
 	}
-	i0 := time.Now()
+	i0 := clock.Now()
 	if rec := p.cfg.Trace; rec != nil {
-		rec.Ring(w).Record(trace.KPark, rec.Now(), int32(w), -1, -1, 0, 0, 0)
+		rec.Ring(w).Record(trace.KPark, rec.At(i0), int32(w), -1, -1, 0, 0, 0)
 	}
 	p.cond.Wait()
 	p.nWaiting.Add(-1)
-	d := time.Since(i0)
-	p.idleNS.Add(int64(d))
+	i1 := clock.Now()
+	d := i1 - i0
+	p.idleNS.Add(d)
 	if p.met != nil {
-		p.met.IdleTime.Add(w, int64(d))
+		p.met.IdleTime.Add(w, d)
 	}
 	if rec := p.cfg.Trace; rec != nil {
-		rec.Ring(w).Record(trace.KUnpark, rec.Now(), int32(w), -1, -1, 0, 0, int64(d))
+		rec.Ring(w).Record(trace.KUnpark, rec.At(i1), int32(w), -1, -1, 0, 0, d)
 	}
 	return false
 }

@@ -5,13 +5,23 @@
 // the multi-tenant pool) in one common record format.
 //
 // The recording hot path is built for the goroutine backends: each worker
-// appends to its own Ring with no synchronization (owner-only writes,
-// amortized-zero allocation past the growth knee), a global atomic
-// sequence number stamps causal order across rings, and rare events from
-// non-worker contexts (a controller retune under the manager lock, an
-// abort from an arbitrary goroutine) go through the mutex-guarded
-// Recorder.Emit side channel. The simulator emits into ring 0 from its
-// single event-loop goroutine, stamping virtual times directly.
+// appends to its own Ring (owner-only writes under a ring-private mutex
+// that only a live snapshot contends, amortized-zero allocation past the
+// growth knee), a global atomic sequence number stamps causal order
+// across rings, and rare events from non-worker contexts (a controller
+// retune under the manager lock, an abort from an arbitrary goroutine) go
+// through the mutex-guarded Recorder.Emit side channel. The simulator
+// emits into ring 0 from its single event-loop goroutine, stamping virtual
+// times directly.
+//
+// Wall-clock traces are stamped from the process's monotonic clock
+// (internal/clock), never the wall clock. A stamp that falls on the same
+// boundary as a measured interval reuses that interval's reading through
+// Recorder.At instead of reading the clock again: KComplete carries the
+// compute-end reading (Arg is the compute interval itself), KDispatch the
+// reading taken when the manager handed the task out, KPark/KUnpark the
+// readings that bracket the idle interval. Recorder.Now is for stamps
+// with no interval to share.
 //
 // Take merges the rings into a Trace ordered by (Time, Seq). Because
 // every emitter records a completion BEFORE submitting it to management
@@ -30,7 +40,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
+
+	"repro/internal/clock"
 )
 
 // Kind classifies one scheduling decision.
@@ -185,13 +196,14 @@ type Meta struct {
 func (m *Meta) Virtual() bool { return m.TimeUnit == UnitVirtual }
 
 // Ring is one worker's private event buffer. Only the owning worker
-// calls Record; the Recorder merges rings in Take. Append amortizes to
-// zero allocations: the backing array doubles like any slice but is
-// retained by Reset, so steady-state recording never allocates (pinned
-// by an AllocsPerRun gate). The per-ring mutex exists for live
-// snapshots (Take on a long-lived pool's recorder, see cmd/rundownd):
-// it is private to the ring, so the only contention a worker ever sees
-// is an in-progress snapshot copy.
+// calls Record, with a timestamp it already holds (Recorder.At of the
+// reading that ended its interval, or Recorder.Now); the Recorder merges
+// rings in Take. Append amortizes to zero allocations: the backing array
+// doubles like any slice but is retained by Reset, so steady-state
+// recording never allocates (pinned by an AllocsPerRun gate). The
+// per-ring mutex exists for live snapshots (Take on a long-lived pool's
+// recorder, see cmd/rundownd): it is private to the ring, so the only
+// contention a worker ever sees is an in-progress snapshot copy.
 type Ring struct {
 	rec *Recorder
 	mu  sync.Mutex
@@ -233,7 +245,7 @@ func (g *Ring) Reset() {
 // each worker, and call Take once the run has quiesced.
 type Recorder struct {
 	meta  Meta
-	start time.Time
+	start int64 // clock reading at creation: the zero of every stamp
 	seq   atomic.Uint64
 	rings []*Ring
 
@@ -246,7 +258,7 @@ func NewRecorder(meta Meta, workers int) *Recorder {
 	if workers < 1 {
 		workers = 1
 	}
-	r := &Recorder{meta: meta, start: time.Now()}
+	r := &Recorder{meta: meta, start: clock.Now()}
 	r.rings = make([]*Ring, workers)
 	for i := range r.rings {
 		r.rings[i] = &Ring{rec: r}
@@ -263,9 +275,14 @@ func (r *Recorder) Ring(w int) *Ring {
 	return r.rings[w]
 }
 
-// Now is the wall-clock timestamp source for real-machine recording:
-// nanoseconds since the recorder was created (monotonic).
-func (r *Recorder) Now() int64 { return int64(time.Since(r.start)) }
+// Now is the timestamp source for real-machine recording: nanoseconds
+// since the recorder was created, read from the monotonic clock.
+func (r *Recorder) Now() int64 { return clock.Now() - r.start }
+
+// At converts a clock.Now reading the caller already took into this
+// recorder's timestamp, so a stamp on the boundary of a measured interval
+// shares the interval's reading instead of reading the clock again.
+func (r *Recorder) At(t int64) int64 { return t - r.start }
 
 // Emit records one event from a context that has no ring of its own — a
 // controller retune under the manager lock, an abort from an arbitrary
